@@ -1,6 +1,6 @@
 """Run one repronet CLI command in this fresh interpreter and record its timings.
 
-    python3 perfbench/launch.py RECORD.json [--trace TRACE_ID] [--setup-only]
+    python3 perfbench/launch.py RECORD.json [--trace TRACE_ID]
                                 [--sigmas QUERIES.json] -- <cli arguments>
 
 This does what the ``repronet`` console script does (``repronet.cli.main``
@@ -14,10 +14,10 @@ this interpreter.
 ``--trace`` wraps the public functions of every layer under the names their
 callers look them up by and records one span per call (name, start, end,
 parent span) in memory; the spans are written to RECORD.json when the
-command ends.  ``--setup-only`` stops right after set-up.  ``--sigmas`` asks
-``PrivacySpec.calibrate`` for the noise scale of listed support patterns
-after the command has returned (outside the timed window), so the checks see
-the sigma the command itself used, from its calibration cache.
+command ends.  ``--sigmas`` asks ``PrivacySpec.calibrate`` for the noise
+scale of listed support patterns after the command has returned (outside the
+timed window), so the checks see the sigma the command itself used, from its
+calibration cache.
 """
 
 import json
@@ -26,10 +26,6 @@ import time
 
 import repronet.cli as cli
 from repronet.privacy import PrivacySpec
-
-
-class _StopAfterSetup(Exception):
-    pass
 
 
 class _Spans:
@@ -151,7 +147,6 @@ def main(argv: list[str]) -> int:
     record_path = options[0]
     trace_id = options[options.index("--trace") + 1] if "--trace" in options else None
     sigmas = options[options.index("--sigmas") + 1] if "--sigmas" in options else None
-    setup_only = "--setup-only" in options
 
     record = {}
 
@@ -159,18 +154,13 @@ def main(argv: list[str]) -> int:
         def __init__(self, args):
             super().__init__(args)
             record["setup_done"] = time.monotonic()
-            if setup_only:
-                raise _StopAfterSetup
 
     cli._Context = _TimedContext
     spans = None
     if trace_id is not None:
         spans = _Spans()
         _install(spans)
-    try:
-        code = cli.main(cli_args)
-    except _StopAfterSetup:
-        code = 0
+    code = cli.main(cli_args)
     record["done"] = time.monotonic()
     record["code"] = code
     record["peak_rss_kib"] = _peak_rss_kib()

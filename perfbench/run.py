@@ -15,8 +15,8 @@ With ``--trace 0`` the last line holds the end-to-end metrics:
 
 * ``setup_s``: median time from starting an interpreter until the command's
   set-up is done (importing repronet, loading the scenario, building the
-  network, initial state and partition), over every command of the run plus
-  set-up-only runs that bring the samples to at least seven;
+  network, initial state and partition), over every untraced command of the
+  run;
 * ``command_s``: median over rounds of the round's time after set-up,
   summed over the commands that succeeded;
 * ``peak_rss_mib``: the largest peak resident set of any command.
@@ -49,7 +49,6 @@ from workloads import WORKLOADS, Command
 
 HERE = Path(__file__).resolve().parent
 COMMAND_TIMEOUT_S = 150
-SETUP_SAMPLES = 7
 END_TO_END = {"setup_s": "s", "command_s": "s", "peak_rss_mib": "MiB"}
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -79,7 +78,7 @@ def _environment(root: Path) -> dict:
     return env
 
 
-def _invoke(command, run_dir, tag, env, trace_id=None, setup_only=False, sigmas=None) -> Invocation:
+def _invoke(command, run_dir, tag, env, trace_id=None, sigmas=None) -> Invocation:
     base = run_dir / tag
     base.mkdir(parents=True, exist_ok=True)
     out = base / command.label
@@ -87,8 +86,6 @@ def _invoke(command, run_dir, tag, env, trace_id=None, setup_only=False, sigmas=
     argv = [sys.executable, str(HERE / "launch.py"), str(record_path)]
     if trace_id is not None:
         argv += ["--trace", trace_id]
-    if setup_only:
-        argv.append("--setup-only")
     if sigmas is not None:
         argv += ["--sigmas", str(sigmas)]
     scenario = run_dir / command.instance.name / "scenario.yaml"
@@ -221,24 +218,11 @@ def _run(args, workload, commands, run_dir, env) -> int:
         if time.monotonic() - start >= args.seconds and (not args.trace or layer_rounds):
             break
 
-    setup_samples = [inv.setup_s for traced, invs in rounds if not traced for inv in invs if inv.setup_s is not None]
-    setup_failures = 0
-    k = 0
-    while not args.trace and len(setup_samples) < SETUP_SAMPLES:
-        inv = _invoke(commands[k % len(commands)], run_dir, "setup", env, setup_only=True)
-        k += 1
-        if inv.setup_s is None:
-            setup_failures += 1
-            if setup_failures > 2:
-                break
-            continue
-        setup_samples.append(inv.setup_s)
-
     all_invocations = [inv for _, invs in rounds for inv in invs]
     attempted = len(all_invocations)
     failed = sum(1 for inv in all_invocations if inv.failure)
     untraced_work = [_command_time(invs) for traced, invs in rounds if not traced]
-    correct = all(passed for _, passed, _ in results) and not mismatches and setup_failures == 0
+    correct = all(passed for _, passed, _ in results) and not mismatches
 
     print(f"workload {workload.name}, seed {args.seed}: {len(rounds)} rounds, "
           f"{attempted} commands attempted, {failed} failed")
@@ -276,8 +260,10 @@ def _run(args, workload, commands, run_dir, env) -> int:
               f"({100 * totals['run_pipeline_s'] / work:.1f}%) of {work:.3f} s after set-up; "
               f"calibrate/randomize/delta_c calls {totals['privacy_calls']}")
     else:
+        setup_samples = [inv.setup_s for traced, invs in rounds if not traced
+                         for inv in invs if inv.setup_s is not None]
         metrics = {
-            "setup_s": statistics.median(setup_samples) if setup_samples else 0.0,
+            "setup_s": statistics.median(setup_samples),
             "command_s": statistics.median(untraced_work),
             "peak_rss_mib": max(inv.record["peak_rss_kib"] for inv in all_invocations if "peak_rss_kib" in inv.record) / 1024.0,
         }

@@ -10,8 +10,9 @@ Run it from the root of a source checkout.  Each run is
 BENCHMARK.json; run i of every set uses the i-th seed, so the sets see the
 same inputs.  For each workload and end-to-end metric it prints each set's
 median and quartiles, the spread (distance between the quartiles over the
-median), and whether the second set's median is within the metric's bound of
-the first's.  The per-command times of the report are summarised the same
+median), and whether the two sets agree: each set's spread within the
+metric's bound, and the two medians apart by at most the bound, in either
+direction.  The per-command times of the report are summarised the same
 way.  It also checks that every run of one seed wrote byte-identical files
 and that each set failed the same share of operations.
 """
@@ -28,7 +29,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-DEFAULT_SEEDS = "11,707,5,1,2,3,4,6,8,9,10,12"
+SEEDS = (11, 707, 5, 1, 2, 3, 4, 6, 8, 9, 10, 12)
 # lines of run.py's report: per-command medians and output digests
 COMMAND_LINE = re.compile(r"^\s+(\w+_s)\s+([0-9.]+) s\s+\(median")
 OUTPUT_LINE = re.compile(r"^\s+output ([0-9a-f]+) (\S+)$")
@@ -60,17 +61,14 @@ def _summary(values: list[float]) -> tuple[float, float, float, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sets", type=int, default=1)
-    parser.add_argument("--runs", type=int, default=1, help="runs per workload and set")
-    parser.add_argument("--seeds", default=DEFAULT_SEEDS, help="comma-separated, one per run")
-    parser.add_argument("--workloads", default=None, help="comma-separated subset")
+    parser.add_argument("--runs", type=int, default=1, choices=range(1, len(SEEDS) + 1),
+                        metavar=f"1..{len(SEEDS)}", help="runs per workload and set")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
-    seeds = [int(s) for s in args.seeds.split(",")][: args.runs]
-    if len(seeds) < args.runs:
-        parser.error(f"--runs {args.runs} needs as many --seeds")
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    seeds = SEEDS[: args.runs]
+    names = [w["name"] for w in bench["workloads"]]
     metrics = bench["per_layer" if args.trace else "end_to_end"]
 
     results: dict = {name: [[] for _ in range(args.sets)] for name in names}
@@ -101,13 +99,11 @@ def main(argv=None) -> int:
                 for k, (m, q1, q3, sp) in enumerate(stats)
             )
             if "bound" in metric and len(stats) == 2:
-                worse = (stats[1][0] - stats[0][0]) / stats[0][0]
-                if metric["better"] == "higher":
-                    worse = -worse
-                agree = worse <= metric["bound"]
-                inside = all(sp <= metric["bound"] for _, _, _, sp in stats) or metric["name"] == "setup_s"
+                moved = (stats[1][0] - stats[0][0]) / stats[0][0]
+                agree = abs(moved) <= metric["bound"]
+                inside = all(sp <= metric["bound"] for _, _, _, sp in stats)
                 steady &= agree and inside
-                line += f"  worse by {worse:+.3f} (bound {metric['bound']}) {'ok' if agree and inside else 'NOT STEADY'}"
+                line += f"  moved {moved:+.3f} (bound {metric['bound']}) {'ok' if agree and inside else 'NOT STEADY'}"
             print(line + f" {metric['unit']}")
         for command in sorted({c for runs in sets for r in runs for c in r["commands"]}):
             rows = [[r["commands"][command] for r in runs if command in r["commands"]] for runs in sets]
