@@ -7,9 +7,11 @@ Run it from the root of a source checkout: every command runs the package
 under ``src/`` in a fresh interpreter (``perfbench/launch.py``), one at a
 time, with BLAS pinned to one thread, so each starts with an empty privacy
 calibration cache as every CLI user does.  A round runs the workload's
-commands once; rounds repeat until ``--seconds`` have passed.  The first
-round's outputs are checked against independent reference computations
-(``checks.py``), and every later round must write byte-identical files.
+commands once; rounds repeat while the next one is expected to end within
+``--seconds`` (at least one untraced round, and with ``--trace 1`` one traced
+round after it).  The first round's outputs are checked against independent
+reference computations (``checks.py``) after the timed rounds, and every
+later round must write byte-identical files.
 
 With ``--trace 0`` the last line holds the end-to-end metrics:
 
@@ -192,6 +194,7 @@ def _run(args, workload, commands, run_dir, env) -> int:
     while True:
         k = len(rounds)
         traced = bool(args.trace) and k > 0
+        round_start = time.monotonic()
         invocations = [
             _invoke(
                 cmd, run_dir, f"round{k}", env,
@@ -200,12 +203,12 @@ def _run(args, workload, commands, run_dir, env) -> int:
             )
             for cmd in commands
         ]
+        round_s = time.monotonic() - round_start
         _compare_outputs(invocations)
         rounds.append((traced, invocations))
         digests = _digests(invocations)
         if reference_digests is None:
             reference_digests = digests
-            results = _check(workload.name, commands, invocations)
         elif digests != reference_digests:
             mismatches.append(k)
         if traced:
@@ -214,9 +217,12 @@ def _run(args, workload, commands, run_dir, env) -> int:
             )
             layer_rounds.append(metrics)
             breakdown = breakdown or (totals, _command_time(invocations))
-        shutil.rmtree(run_dir / f"round{k}", ignore_errors=True)
-        if time.monotonic() - start >= args.seconds and (not args.trace or layer_rounds):
+        if k > 0:  # round 0's outputs are checked after the timed rounds
+            shutil.rmtree(run_dir / f"round{k}", ignore_errors=True)
+        # another round only if it is expected to end within --seconds
+        if time.monotonic() - start + round_s > args.seconds and (not args.trace or layer_rounds):
             break
+    results = _check(workload.name, commands, rounds[0][1])
 
     all_invocations = [inv for _, invs in rounds for inv in invs]
     attempted = len(all_invocations)
