@@ -22,14 +22,16 @@ import numpy as np
 from .exceptions import CalibrationInfeasibleError, ConfigError
 from .model import EpidemicState, ModelKind, TransmissionNetwork, derivative
 from .privacy import PrivacySpec, TruncGaussParams, trunc_gauss_moments, trunc_gauss_sample
-from .protocol import run_pipeline, step3_preaggregate
+from .protocol import run_pipeline
 from .reproduction import (
     DEFAULT_INFECTION_FLOOR,
     Partition,
     cern_vector,
     cluster_matrix,
+    cluster_weight_sums,
     floored_infections,
     lern_vector,
+    report_matrix,
 )
 
 __all__ = [
@@ -107,9 +109,12 @@ def entry_noise_params(
     its own calibration, driven by its own report support pattern.
     """
     members = partition.members(q)
+    x_f = floored_infections(state.x, floor)
+    reports = report_matrix(
+        net.b[members], net.gamma[members], state.s[members], x_f, members, partition, clamp
+    )
     params: list[TruncGaussParams | None] = []
-    for i in members:
-        zeta = step3_preaggregate(net, state, partition, int(i), floor, clamp).entries
+    for zeta in reports:
         value = float(zeta[r])
         if value == 0.0:
             params.append(None)
@@ -121,6 +126,17 @@ def entry_noise_params(
             )
         )
     return params
+
+
+def _entry_denominator(partition, q, gamma, x, member_params, floor) -> float:
+    """Cluster q's weight, once ``member_params`` is checked to cover its members."""
+    size = partition.members(q).size
+    if len(member_params) != size:
+        raise ConfigError(
+            f"expected {size} parameter entries for cluster {q}, got {len(member_params)}"
+        )
+    x_f = floored_infections(np.asarray(x, dtype=float), floor)
+    return float(cluster_weight_sums(gamma, x_f, partition)[q])
 
 
 def private_entry_moments(
@@ -137,13 +153,7 @@ def private_entry_moments(
     order and describes the truncated-Gaussian draw of each member's report
     entry for the target cluster (``None`` for exact zeros).
     """
-    members = partition.members(q)
-    if len(member_params) != members.size:
-        raise ConfigError(
-            f"expected {members.size} parameter entries for cluster {q}, got {len(member_params)}"
-        )
-    x_f = floored_infections(np.asarray(x, dtype=float), floor)
-    denom = float(np.sum(np.asarray(gamma, dtype=float)[members] * x_f[members]))
+    denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
     mean_sum = 0.0
     var_sum = 0.0
     for params in member_params:
@@ -172,13 +182,7 @@ def monte_carlo_entry_stats(
     divided by the cluster weight.  Shuffling never changes the aggregate,
     so this matches the distribution of the full pipeline's entry.
     """
-    members = partition.members(q)
-    if len(member_params) != members.size:
-        raise ConfigError(
-            f"expected {members.size} parameter entries for cluster {q}, got {len(member_params)}"
-        )
-    x_f = floored_infections(np.asarray(x, dtype=float), floor)
-    denom = float(np.sum(np.asarray(gamma, dtype=float)[members] * x_f[members]))
+    denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
     totals = np.zeros(trials)
     for params in member_params:
         if params is None:

@@ -102,6 +102,7 @@ def _cmd_compute_rn(args) -> int:
     scenario = ctx.scenario
     clamp = scenario.privacy.clamp
     trajectory = ctx.trajectory()
+    r0 = network_reproduction(ctx.net)
     records = []
     network_rows = []
     for _, state in ctx.sampled(trajectory):
@@ -111,13 +112,11 @@ def _cmd_compute_rn(args) -> int:
         for i in range(ctx.net.n):
             for j in range(ctx.net.n):
                 records.append((state.t, i, j, matrix.values[i, j], "effective"))
-        network_rows.append(
-            (state.t, network_reproduction(ctx.net), network_reproduction(ctx.net, state))
-        )
+        network_rows.append((state.t, network_reproduction(ctx.net, state)))
     csvio.write_rn_csv(ctx.out / "local_rn.csv", records)
     with open(ctx.out / "network_rn.csv", "w", newline="") as fh:
         fh.write("t,r0,rt\n")
-        for t, r0, rt in network_rows:
+        for t, rt in network_rows:
             fh.write(f"{t:.17g},{r0:.17g},{rt:.17g}\n")
     print(f"wrote {ctx.out / 'local_rn.csv'} and {ctx.out / 'network_rn.csv'}")
     return 0

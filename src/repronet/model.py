@@ -61,27 +61,19 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Check strong connectivity of the graph induced by positive entries.
 
-    Runs a forward and a backward breadth-first traversal from node 0; the
-    graph is strongly connected iff both reach every node.
+    Node 0 must reach, and be reached from, every node; each array operation
+    advances a whole breadth-first level.  (``scipy.sparse.csgraph`` would
+    add ~10 MiB of resident memory and ~30 ms to every command's start-up.)
     """
-    n = adj.shape[0]
-    if n == 1:
-        return True
     positive = adj > 0.0
+    # positive[i, j] means an edge j -> i; its transpose reverses every edge
     for mat in (positive, positive.T):
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                # mat[i, j] > 0 means an edge j -> i, so column `node`
-                # lists the nodes that `node` feeds into.
-                for succ in np.nonzero(mat[:, node])[0]:
-                    if not reached[succ]:
-                        reached[succ] = True
-                        nxt.append(int(succ))
-            frontier = nxt
+        reached = np.zeros(adj.shape[0], dtype=bool)
+        frontier = ~reached
+        frontier[1:] = False
+        while frontier.any():
+            reached |= frontier
+            frontier = mat[:, frontier].any(axis=1) & ~reached
         if not reached.all():
             return False
     return True

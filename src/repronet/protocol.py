@@ -7,15 +7,17 @@ One epoch proceeds through seven barrier-synchronized steps:
 2. each local authority computes its entity-level effective values from its
    own transmission row plus the public data;
 3. it pre-aggregates them into a length-m report vector whose entry r is
-   ``gamma_i * x_i * sum_{k in cluster r} effective(i, k)``;
+   ``gamma_i * x_i * sum_{k in cluster r} effective(i, k)`` (steps 2 and 3
+   are one single-row ``reproduction.report_matrix`` call);
 4. with privacy on, it randomizes the report with the bounded Gaussian
    local randomizer;
 5. each cluster's shuffler anonymizes its members' reports and applies a
    uniform random permutation;
 6. each cluster aggregator divides the entrywise sum of its shuffled batch
-   by ``sum_{k in cluster} gamma_k * x_k`` (summing report entries in
-   ascending value order, which makes the result bit-identical under any
-   permutation of the batch);
+   by ``sum_{k in cluster} gamma_k * x_k`` through ``reproduction.assemble``
+   (summing report entries in ascending value order, which makes the result
+   bit-identical under any permutation of the batch, and equal to
+   ``cluster_matrix`` with privacy off);
 7. the data center stacks the cluster vectors into the m-by-m matrix and
    hands it to the central authority.
 
@@ -41,8 +43,10 @@ from .reproduction import (
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
     Partition,
-    effective_row,
+    assemble,
+    cluster_weight_sums,
     floored_infections,
+    report_matrix,
 )
 from .seeding import StreamRole, stream
 
@@ -164,32 +168,17 @@ def step3_preaggregate(
 ) -> LocalAggVector:
     """Exact report vector of authority i.
 
-    Thin wrapper over the row-local computation: only row i of the
+    Thin wrapper over the single-row report kernel: only row i of the
     transmission matrix and the public vectors enter.
     """
     if not 0 <= i < net.n:
         raise ConfigError(f"authority index {i} out of range")
     x_f = floored_infections(state.x, floor)
-    entries = _preaggregate_row(
-        net.b[i], net.gamma[i], state.s[i], x_f, i, partition, clamp
-    )
+    rows = np.array([i])
+    entries = report_matrix(
+        net.b[rows], net.gamma[rows], state.s[rows], x_f, rows, partition, clamp
+    )[0]
     return LocalAggVector(entries=entries, t=state.t, authority_id=i, private=False)
-
-
-def _preaggregate_row(
-    b_row: np.ndarray,
-    gamma_i: float,
-    s_i: float,
-    x_f: np.ndarray,
-    i: int,
-    partition: Partition,
-    clamp: tuple[float, float] | None,
-) -> np.ndarray:
-    row = effective_row(b_row, gamma_i, s_i, x_f, i, clamp=clamp)
-    weight = gamma_i * x_f[i]
-    return np.array(
-        [weight * float(np.sum(row[partition.members(r)])) for r in range(partition.m)]
-    )
 
 
 def step6_assemble(
@@ -202,9 +191,9 @@ def step6_assemble(
 ) -> np.ndarray:
     """Cluster q's vector from its shuffled batch and public data.
 
-    Entrywise sum of the batch divided by ``sum(gamma * x)`` over cluster
-    members; entries are summed in ascending value order so the result is
-    bit-identical for every permutation of the batch.
+    ``reproduction.assemble`` of the batch with the cluster weight
+    ``sum(gamma * x)`` over members; the result is bit-identical for every
+    permutation of the batch.
     """
     members = partition.members(q)
     if len(batch.vectors) != members.size:
@@ -212,9 +201,8 @@ def step6_assemble(
             f"cluster {q} expected {members.size} reports, got {len(batch.vectors)}"
         )
     x_f = floored_infections(np.asarray(x, dtype=float), floor)
-    denom = float(np.sum(np.asarray(gamma, dtype=float)[members] * x_f[members]))
-    stacked = np.stack([vec.entries for vec in batch.vectors])
-    return np.sum(np.sort(stacked, axis=0), axis=0) / denom
+    denom = cluster_weight_sums(gamma, x_f, partition)[q]
+    return assemble(np.stack([vec.entries for vec in batch.vectors]), denom)
 
 
 class LocalAuthority:
@@ -231,8 +219,10 @@ class LocalAuthority:
         clamp: tuple[float, float] | None = None,
     ):
         self.ident = ident
-        self.b_row = np.asarray(b_row, dtype=float)
-        self.gamma_i = float(gamma_i)
+        # one-row arrays, the shapes ``report_matrix`` takes
+        self.rows = np.array([ident])
+        self.b_rows = np.asarray(b_row, dtype=float)[None, :]
+        self.gamma_rows = np.array([float(gamma_i)])
         self.spec = spec
         self.rng = rng
         self.floor = floor
@@ -245,15 +235,10 @@ class LocalAuthority:
             )
         public = message.public
         x_f = floored_infections(public.x, self.floor)
-        entries = _preaggregate_row(
-            self.b_row,
-            self.gamma_i,
-            float(public.s[self.ident]),
-            x_f,
-            self.ident,
-            message.partition,
-            self.clamp,
-        )
+        entries = report_matrix(
+            self.b_rows, self.gamma_rows, public.s[self.rows], x_f, self.rows, message.partition,
+            self.clamp
+        )[0]
         private = self.spec is not None
         if private and np.any(entries > 0.0):
             # an all-zero report passes through unchanged: the randomizer

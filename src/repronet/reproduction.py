@@ -17,7 +17,9 @@ Cluster-level quantities average entity values with weights
 ``gamma[i] * x[i]`` over the members of each cluster of a partition; row
 sums of the cluster matrix recover the cluster effective reproduction
 numbers, and coarser partitions can be aggregated from finer ones without
-revisiting entity data.
+revisiting entity data.  The cluster matrix is assembled from per-entity
+reports (``report_matrix``) by ``assemble``, the same two kernels the
+aggregation pipeline runs, so both give the same bits.
 
 Infected fractions are floored (default ``1e-9``, standing in for "at least
 one infected individual" when populations are unknown) before any effective
@@ -45,7 +47,10 @@ __all__ = [
     "ClusterRnMatrix",
     "floored_infections",
     "local_distributed_ern",
-    "effective_row",
+    "effective_rows",
+    "report_matrix",
+    "assemble",
+    "cluster_weight_sums",
     "lern",
     "lern_vector",
     "lbrn",
@@ -90,6 +95,10 @@ class Partition:
 
     ``assignment[i]`` is the 0-based cluster index of entity i.  Every
     cluster must be non-empty; a single whole-network cluster is allowed.
+
+    ``member_slots``, derived and kept out of the fields that message digests
+    hash, is the ``(m, largest cluster)`` table of each cluster's members in
+    ascending order, padded with ``n``.
     """
 
     m: int
@@ -110,6 +119,13 @@ class Partition:
         assignment = assignment.copy()
         assignment.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
+        order = np.argsort(assignment, kind="stable")
+        clusters = assignment[order]
+        sizes = np.bincount(assignment)
+        slots = np.full((self.m, int(sizes.max())), assignment.size)
+        slots[clusters, np.arange(assignment.size) - (np.cumsum(sizes) - sizes)[clusters]] = order
+        slots.setflags(write=False)
+        object.__setattr__(self, "member_slots", slots)
 
     @property
     def n(self) -> int:
@@ -186,42 +202,84 @@ def floored_infections(x: np.ndarray, floor: float | np.ndarray = DEFAULT_INFECT
     return np.maximum(np.asarray(x, dtype=float), floor_arr)
 
 
-def _check_positive_infection(x_f: np.ndarray, i: int | None = None) -> None:
-    if i is not None:
-        if x_f[i] <= 0.0:
-            raise UndefinedRatioError(
-                f"x[{i}] is zero with flooring disabled; effective RN undefined"
-            )
-        return
-    if np.any(x_f <= 0.0):
-        bad = int(np.argmin(x_f))
+def _check_positive_infection(x_f: np.ndarray, rows: np.ndarray) -> None:
+    bad = rows[x_f[rows] <= 0.0]
+    if bad.size:
         raise UndefinedRatioError(
-            f"x[{bad}] is zero with flooring disabled; effective RN undefined"
+            f"x[{bad[0]}] is zero with flooring disabled; effective RN undefined"
         )
 
 
-def effective_row(
-    b_row: np.ndarray,
-    gamma_i: float,
-    s_i: float,
+def effective_rows(
+    b_rows: np.ndarray,
+    gamma_rows: np.ndarray,
+    s_rows: np.ndarray,
     x_f: np.ndarray,
-    i: int,
+    rows: np.ndarray,
     clamp: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Row i of the effective matrix from row i of B and public vectors.
+    """Rows ``rows`` of the effective matrix from those rows of B and public vectors.
 
     This is the single source of truth for entity-level effective values:
-    entity sums, full matrices, and the aggregation pipeline all call it, so
-    their floating-point results agree bit for bit.  The signature is the
+    entity sums, full matrices and reports all call it, and an entry's bits
+    do not depend on which rows are computed together.  The signature is the
     locality statement: row i depends only on that transmission row, the
     entity's own recovery and susceptible values, and the shared infection
-    vector, so rows can be evaluated independently (entity-by-entity).
+    vector (only the requested rows' infections must be positive).
     """
-    _check_positive_infection(x_f, i)
-    row = (s_i / gamma_i) * b_row * x_f / x_f[i]
+    _check_positive_infection(x_f, rows)
+    values = (s_rows / gamma_rows)[:, None] * b_rows * x_f / x_f[rows][:, None]
     if clamp is not None:
-        row = np.clip(row, clamp[0], clamp[1])
-    return row
+        values = np.clip(values, clamp[0], clamp[1])
+    return values
+
+
+# Most elements ``report_matrix`` gathers at once (32 MiB): a partition with
+# one large cluster and many small ones would otherwise need rows * m * its
+# largest cluster size, which grows as n**3.
+_GATHER_BLOCK = 1 << 22
+
+
+def report_matrix(
+    b_rows: np.ndarray,
+    gamma_rows: np.ndarray,
+    s_rows: np.ndarray,
+    x_f: np.ndarray,
+    rows: np.ndarray,
+    partition: Partition,
+    clamp: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """Pre-aggregated reports of entities ``rows``, shape ``(len(rows), m)``.
+
+    Entry (k, r) is ``gamma_i * x_i * sum_{j in cluster r} effective(i, j)``
+    for ``i = rows[k]``.  Each cluster sum is a running sum over its members
+    in ascending order (``partition.member_slots``; the padding slot reads a
+    zero column), so an authority's single-row call gives the same bits as
+    its row of the full matrix.
+    """
+    effective = effective_rows(b_rows, gamma_rows, s_rows, x_f, rows, clamp)
+    padded = np.concatenate([effective, np.zeros((effective.shape[0], 1))], axis=1)
+    slots = partition.member_slots
+    sums = np.empty((len(padded), partition.m))
+    step = max(1, _GATHER_BLOCK // slots.size)
+    for k in range(0, len(padded), step):
+        sums[k : k + step] = np.add.accumulate(padded[k : k + step, slots], axis=2)[..., -1]
+    return (gamma_rows * x_f[rows])[:, None] * sums
+
+
+def assemble(reports: np.ndarray, denom: float) -> np.ndarray:
+    """One cluster's vector: its members' reports (rows) summed, over ``denom``.
+
+    Each column is summed in ascending value order, so the result is
+    bit-identical under any permutation of the rows.
+    """
+    return np.sum(np.sort(reports, axis=0), axis=0) / denom
+
+
+def cluster_weight_sums(gamma: np.ndarray, x_f: np.ndarray, partition: Partition) -> np.ndarray:
+    """``sum(gamma[i] * x[i])`` over each cluster's members, in ascending member order."""
+    weights = np.asarray(gamma, dtype=float) * x_f
+    return np.bincount(partition.assignment, weights=weights, minlength=partition.m)
 
 
 def local_distributed_ern(
@@ -233,8 +291,8 @@ def local_distributed_ern(
 ) -> float:
     """Effective reproduction number contributed by entity j to entity i."""
     x_f = floored_infections(state.x, floor)
-    _check_positive_infection(x_f, i)
-    return float((state.s[i] / net.gamma[i]) * net.b[i, j] * x_f[j] / x_f[i])
+    rows = np.array([i])
+    return float(effective_rows(net.b[rows], net.gamma[rows], state.s[rows], x_f, rows)[0, j])
 
 
 def lern(
@@ -245,7 +303,8 @@ def lern(
 ) -> float:
     """Local effective reproduction number of entity i (row sum)."""
     x_f = floored_infections(state.x, floor)
-    return float(np.sum(effective_row(net.b[i], net.gamma[i], state.s[i], x_f, i)))
+    rows = np.array([i])
+    return float(np.sum(effective_rows(net.b[rows], net.gamma[rows], state.s[rows], x_f, rows)))
 
 
 def lbrn(net: TransmissionNetwork, i: int) -> float:
@@ -264,7 +323,7 @@ def lern_vector(
     summation-order round-off.
     """
     x_f = floored_infections(state.x, floor)
-    _check_positive_infection(x_f)
+    _check_positive_infection(x_f, np.arange(net.n))
     return state.s * (net.b @ x_f) / (net.gamma * x_f)
 
 
@@ -295,11 +354,8 @@ def build_matrix(
             values = np.clip(values, clamp[0], clamp[1])
         return LocalRnMatrix(kind=kind, values=values, t=state.t)
     x_f = floored_infections(state.x, floor)
-    rows = [
-        effective_row(net.b[i], net.gamma[i], state.s[i], x_f, i, clamp=clamp)
-        for i in range(net.n)
-    ]
-    return LocalRnMatrix(kind=kind, values=np.stack(rows), t=state.t)
+    values = effective_rows(net.b, net.gamma, state.s, x_f, np.arange(net.n), clamp)
+    return LocalRnMatrix(kind=kind, values=values, t=state.t)
 
 
 def spectral_radius(matrix: np.ndarray, rtol: float = 1e-12, max_iter: int = 10_000) -> float:
@@ -346,10 +402,6 @@ def network_reproduction(net: TransmissionNetwork, state: EpidemicState | None =
     return spectral_radius(state.s[:, None] * basic)
 
 
-def _cluster_weights(gamma: np.ndarray, x_f: np.ndarray, members: np.ndarray) -> np.ndarray:
-    return gamma[members] * x_f[members]
-
-
 def cern(
     net: TransmissionNetwork,
     state: EpidemicState,
@@ -357,19 +409,10 @@ def cern(
     q: int,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> float:
-    """Cluster effective reproduction number of cluster q.
-
-    Weighted average of the members' entity-level values with weights
-    ``gamma[i] * x[i]``.
-    """
-    members = partition.members(q)
-    x_f = floored_infections(state.x, floor)
-    _check_positive_infection(x_f)
-    weights = _cluster_weights(net.gamma, x_f, members)
-    values = np.array(
-        [float(np.sum(effective_row(net.b[i], net.gamma[i], state.s[i], x_f, i))) for i in members]
-    )
-    return float(np.sum(weights * values) / np.sum(weights))
+    """Cluster effective reproduction number of cluster q."""
+    if not 0 <= q < partition.m:
+        raise ConfigError(f"cluster index {q} out of range [0, {partition.m})")
+    return float(cern_vector(net, state, partition, floor)[q])
 
 
 def cern_vector(
@@ -378,21 +421,15 @@ def cern_vector(
     partition: Partition,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> np.ndarray:
-    return np.array([cern(net, state, partition, q, floor) for q in range(partition.m)])
+    """All cluster effective reproduction numbers at once.
 
-
-def _member_contribution(
-    b_row: np.ndarray,
-    gamma_i: float,
-    s_i: float,
-    x_f: np.ndarray,
-    i: int,
-    members_r: np.ndarray,
-    clamp: tuple[float, float] | None,
-) -> float:
-    """gamma_i x_i times entity i's effective values summed over cluster r."""
-    row = effective_row(b_row, gamma_i, s_i, x_f, i, clamp=clamp)
-    return (gamma_i * x_f[i]) * float(np.sum(row[members_r]))
+    Weighted average of the members' entity-level values with weights
+    ``gamma[i] * x[i]``.
+    """
+    x_f = floored_infections(state.x, floor)
+    weighted = net.gamma * x_f * lern_vector(net, state, floor)
+    totals = np.bincount(partition.assignment, weights=weighted, minlength=partition.m)
+    return totals / cluster_weight_sums(net.gamma, x_f, partition)
 
 
 def cluster_matrix(
@@ -405,29 +442,17 @@ def cluster_matrix(
     """Cluster-level effective reproduction matrix over a partition.
 
     Entry (q, r) averages, with weights ``gamma[i] * x[i]`` over members i of
-    cluster q, the effective values from members of cluster r.  Member
-    contributions are summed in ascending value order, matching the
-    aggregation pipeline so the privacy-off pipeline output is bit-identical.
+    cluster q, the effective values from members of cluster r.  It is the
+    pipeline's computation without the actors: ``report_matrix`` over all
+    entities, then ``assemble`` per cluster, so the privacy-off pipeline
+    output is bit-identical.
     """
     x_f = floored_infections(state.x, floor)
-    _check_positive_infection(x_f)
-    m = partition.m
-    member_lists = [partition.members(q) for q in range(m)]
-    values = np.empty((m, m))
-    for q in range(m):
-        members_q = member_lists[q]
-        denom = float(np.sum(_cluster_weights(net.gamma, x_f, members_q)))
-        for r in range(m):
-            members_r = member_lists[r]
-            contribs = np.array(
-                [
-                    _member_contribution(
-                        net.b[i], net.gamma[i], state.s[i], x_f, i, members_r, clamp
-                    )
-                    for i in members_q
-                ]
-            )
-            values[q, r] = float(np.sum(np.sort(contribs)) / denom)
+    reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
+    denoms = cluster_weight_sums(net.gamma, x_f, partition)
+    values = np.stack(
+        [assemble(reports[partition.members(q)], denoms[q]) for q in range(partition.m)]
+    )
     return ClusterRnMatrix(values=values, t=state.t, private=False)
 
 
@@ -463,13 +488,6 @@ def coarsen(
     if set(target.tolist()) != set(range(m_coarse)):
         raise ConfigError("mapping must be surjective onto 0..max coarse index")
 
-    x_f = floored_infections(state.x, floor)
-    fine_cerns = cern_vector(net, state, fine, floor)
-    fine_weights = np.array(
-        [float(np.sum(_cluster_weights(net.gamma, x_f, fine.members(q)))) for q in range(fine.m)]
-    )
-    coarse = np.zeros(m_coarse)
-    for o in range(m_coarse):
-        sel = target == o
-        coarse[o] = float(np.sum(fine_weights[sel] * fine_cerns[sel]) / np.sum(fine_weights[sel]))
-    return coarse
+    fine_weights = cluster_weight_sums(net.gamma, floored_infections(state.x, floor), fine)
+    weighted = fine_weights * cern_vector(net, state, fine, floor)
+    return np.bincount(target, weights=weighted) / np.bincount(target, weights=fine_weights)

@@ -11,6 +11,17 @@ import numpy as np
 from scipy import integrate as scipy_integrate
 
 
+def strongly_connected(b):
+    """Every node reaches every other along positive entries (transitive closure)."""
+    n = len(b)
+    reach = [[i == j or b[i][j] > 0.0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return all(all(row) for row in reach)
+
+
 def sir_derivative(b, gamma, s, x):
     n = len(gamma)
     sdot = [0.0] * n

@@ -40,6 +40,27 @@ seed: 3
 """
 
 
+# Two clusters of eight: from eight members up, an unordered sum's rounding
+# can differ from the pipeline's, so byte-identity needs the shared kernels.
+EIGHT_MEMBER_CLUSTERS = """
+network:
+  random:
+    n: 16
+    edge_density: 0.5
+    beta_range: [0.02, 0.15]
+    gamma_range: [0.2, 0.5]
+initial:
+  x: 0.05
+model: sis
+dt: 0.05
+steps: 80
+rn_interval: 40
+partition: [[0, 1, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11, 12, 13, 14, 15]]
+output_dir: "{out}"
+seed: 3
+"""
+
+
 def write_config(tmp_path, template, name="scenario.yaml", out="out"):
     path = tmp_path / name
     path.write_text(template.format(out=(tmp_path / out).as_posix()))
@@ -53,8 +74,11 @@ def test_simulate_reproduces_scalar_endemic_level(tmp_path):
     assert states[-1].x[0] == pytest.approx(1.0 - 0.1 / 0.3, abs=1e-3)
 
 
-def test_pipeline_no_privacy_byte_matches_cluster_rn(tmp_path):
-    config = write_config(tmp_path, CLUSTERED)
+@pytest.mark.parametrize(
+    "template", [CLUSTERED, EIGHT_MEMBER_CLUSTERS], ids=["clustered", "eight_member_clusters"]
+)
+def test_pipeline_no_privacy_byte_matches_cluster_rn(tmp_path, template):
+    config = write_config(tmp_path, template)
     assert main(["cluster-rn", "--config", str(config), "--output-dir", str(tmp_path / "a")]) == 0
     assert (
         main(

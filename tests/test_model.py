@@ -82,6 +82,18 @@ def test_network_validation():
         rn.TransmissionNetwork(b=[[0.0, 0.0], [0.3, 0.0]], gamma=[0.5, 0.5])
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 11), density=st.floats(0.05, 0.5))
+@settings(max_examples=60)
+def test_strong_connectivity_check_matches_oracle_property(seed, n, density):
+    rng = np.random.default_rng(seed)
+    b = np.where(rng.random((n, n)) < density, 0.2, 0.0)
+    if oracles.strongly_connected(b):
+        rn.TransmissionNetwork(b=b, gamma=np.full(n, 0.5))
+    else:
+        with pytest.raises(ConfigError, match="strongly connected"):
+            rn.TransmissionNetwork(b=b, gamma=np.full(n, 0.5))
+
+
 def test_state_validation():
     with pytest.raises(ConfigError):
         rn.EpidemicState(t=0.0, s=np.array([0.5, 0.5]), x=np.array([0.6, 0.1]))

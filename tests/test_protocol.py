@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import repronet as rn
@@ -21,7 +23,7 @@ from repronet.protocol import (
     step3_preaggregate,
     step6_assemble,
 )
-from repronet.reproduction import cluster_matrix, floored_infections
+from repronet.reproduction import cluster_matrix, floored_infections, report_matrix
 from repronet.seeding import StreamRole, stream
 
 
@@ -290,3 +292,27 @@ def test_pipeline_size_mismatch(rng):
     partition = rn.Partition.from_blocks([[0, 1], [2, 3]])
     with pytest.raises(ConfigError):
         run_pipeline(net, state, partition, None)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+)
+@settings(max_examples=25)
+def test_single_row_reports_and_pipeline_match_full_matrix_property(seed, sizes):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    net = make_network(rng, n)
+    state = make_state(rng, n, with_r=True)
+    assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    partition = rn.Partition(m=len(sizes), assignment=assignment)
+    clamp = (0.0, 14.0)
+    full = report_matrix(
+        net.b, net.gamma, state.s, floored_infections(state.x), np.arange(n), partition, clamp
+    )
+    for i in range(n):
+        row = step3_preaggregate(net, state, partition, i, clamp=clamp).entries
+        assert row.tobytes() == full[i].tobytes()
+    direct = cluster_matrix(net, state, partition, clamp=clamp).values
+    piped = run_pipeline(net, state, partition, None, clamp=clamp).values
+    assert direct.tobytes() == piped.tobytes()
