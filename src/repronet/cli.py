@@ -97,23 +97,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _local_records(matrices):
+    for state_t, values in matrices:
+        n = values.shape[0]
+        for i in range(n):
+            for j in range(n):
+                yield (state_t, i, j, values[i, j], "effective")
+
+
 def _cmd_compute_rn(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
-    clamp = scenario.privacy.clamp
+    floor, clamp = scenario.infection_floor, scenario.privacy.clamp
     trajectory = ctx.trajectory()
+    states = [state for _, state in ctx.sampled(trajectory)]
     r0 = network_reproduction(ctx.net)
-    records = []
-    network_rows = []
-    for _, state in ctx.sampled(trajectory):
-        matrix = build_matrix(
-            ctx.net, state, MatrixKind.EFFECTIVE, scenario.infection_floor, clamp
-        )
-        for i in range(ctx.net.n):
-            for j in range(ctx.net.n):
-                records.append((state.t, i, j, matrix.values[i, j], "effective"))
-        network_rows.append((state.t, network_reproduction(ctx.net, state)))
-    csvio.write_rn_csv(ctx.out / "local_rn.csv", records)
+    network_rows = [(state.t, network_reproduction(ctx.net, state)) for state in states]
+    matrices = [
+        (state.t, build_matrix(ctx.net, state, MatrixKind.EFFECTIVE, floor, clamp).values)
+        for state in states
+    ]
+    csvio.write_rn_csv(ctx.out / "local_rn.csv", _local_records(matrices))
     with open(ctx.out / "network_rn.csv", "w", newline="") as fh:
         fh.write("t,r0,rt\n")
         for t, rt in network_rows:

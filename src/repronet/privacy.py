@@ -13,12 +13,14 @@ smallest value satisfying
                / (epsilon0 - log DeltaC(sigma, c))
 
 where the sum ranges over the positive ("active") entries and ``DeltaC`` is
-a product of truncated-normalization ratios, evaluated at a worst-case
-offset vector ``c`` searched over ``{c >= 0, ||c||_2 <= k}``.  The exact
-worst case is defined by an external optimization problem; we approximate
-it with per-coordinate golden-section sweeps and record the offset used.  A
-larger ``DeltaC`` only raises the required ``sigma``, so the search errs on
-the conservative side by keeping the best (largest) value it finds.
+a product of truncated-normalization ratios, evaluated at the worst-case
+offset vector ``c`` over ``{c >= 0, ||c||_2 <= k}``.  Every entry shares one
+noise box ``[l, u]``, and for equal widths that worst case has a closed
+form (see :func:`worst_case_offset`): each factor of ``DeltaC`` is
+log-concave in its coordinate and peaks at ``c = (u - l)/2``, so by
+permutation symmetry the maximizer is ``min(k/sqrt(d), (u - l)/2)`` in every
+one of the ``d`` active coordinates.  The offset is exact, not searched, so
+the calibrated ``sigma`` never rests on an under-estimated ``DeltaC``.
 
 Shuffling a cluster's randomized reports through a uniform permutation
 amplifies the per-report guarantee ``epsilon0`` to
@@ -210,90 +212,28 @@ def delta_c(sigma: float, widths: np.ndarray, offset: np.ndarray) -> float:
     return float(np.prod(ratios))
 
 
-def _golden_max(fun, lo: float, hi: float, iterations: int = 24) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] by golden-section search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    best_t = c if fc >= fd else d
-    best_f = max(fc, fd)
-    for t, f in ((lo, fun(lo)), (hi, fun(hi))):
-        if f > best_f:
-            best_t, best_f = t, f
-    return best_t, best_f
-
-
-@lru_cache(maxsize=32)
-def _ray_fan(dim: int) -> np.ndarray:
-    """Fixed fan of nonnegative unit directions (not a sampling stream)."""
-    rng = np.random.default_rng(0)
-    rays = np.abs(rng.standard_normal((16 * dim, dim)))
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    rays.setflags(write=False)
-    return rays
-
-
 def worst_case_offset(sigma: float, widths: np.ndarray, k: float) -> tuple[np.ndarray, float]:
-    """Approximate maximizer of delta_c over {c >= 0, ||c||_2 <= k}.
+    """Exact maximizer of delta_c over {c >= 0, ||c||_2 <= k}, and its value.
 
-    Coordinate-wise golden-section sweeps (three refinement passes) from a
-    handful of starting points: the equal-split point, the origin, and each
-    single-coordinate corner of the L2 ball.  When the radius is large
-    relative to the window widths (where the sweep alone can stall between
-    coordinate directions) a fan of rays is searched as well.  Returns the
-    best offset found and its delta_c value; any under-estimate of the true
-    maximum loosens the resulting noise bound, so candidates are only ever
-    accumulated, never discarded.
+    Each factor of delta_c is the mass of N(0, sigma^2) on the window
+    ``[-c, w - c]``: the convolution of an interval indicator with a
+    Gaussian, hence log-concave in ``c`` (Prekopa 1973), symmetric about
+    ``w/2`` and increasing on ``[0, w/2]``.  With one width ``w`` for every
+    active entry, ``log delta_c`` is concave and invariant under permuting
+    the coordinates, and so is the feasible set; averaging a maximizer over
+    all permutations therefore gives a maximizer with equal coordinates.
+    Along that diagonal each factor grows until ``c = w/2``, so the
+    maximizer is ``min(k/sqrt(d), w/2)`` in every one of the ``d``
+    coordinates.  Widths that differ raise ``ConfigError``.
     """
     widths = np.asarray(widths, dtype=float)
-    dim = widths.size
-    candidates = [np.zeros(dim), np.full(dim, k / math.sqrt(dim))]
-    for r in range(dim):
-        corner = np.zeros(dim)
-        corner[r] = k
-        candidates.append(corner)
-
-    best_c = max(candidates, key=lambda c: delta_c(sigma, widths, c))
-    best_value = delta_c(sigma, widths, best_c)
-
-    if k > 1e-3 * float(np.min(widths)):
-        for ray in _ray_fan(dim):
-            def along(radius: float, ray: np.ndarray = ray) -> float:
-                return delta_c(sigma, widths, radius * ray)
-
-            radius, value = _golden_max(along, 0.0, k, iterations=16)
-            if value > best_value:
-                best_value = value
-                best_c = radius * ray
-
-    current = best_c.copy()
-    for _ in range(3):
-        for r in range(dim):
-            others_sq = float(np.dot(current, current) - current[r] ** 2)
-            budget = math.sqrt(max(k * k - others_sq, 0.0))
-
-            def factor(t: float, r: int = r) -> float:
-                trial = current.copy()
-                trial[r] = t
-                return delta_c(sigma, widths, trial)
-
-            t_best, f_best = _golden_max(factor, 0.0, budget)
-            current[r] = t_best
-            if f_best > best_value:
-                best_value = f_best
-                best_c = current.copy()
-    return best_c, best_value
+    if np.any(widths != widths[0]):
+        raise ConfigError(
+            "the worst-case offset needs one noise-box width for every active "
+            f"entry, got widths {widths.tolist()}"
+        )
+    offset = np.full(widths.size, min(k / math.sqrt(widths.size), 0.5 * widths[0]))
+    return offset, delta_c(sigma, widths, offset)
 
 
 def sigma_inequality_holds(
@@ -322,8 +262,10 @@ def calibrate_sigma(
 
     Bisects sigma to relative precision 1e-6 over the bracket
     ``[1e-8 k, 10 max(u - l)]``; inactive entries (mask false) contribute
-    nothing to the width sum.  Raises ``CalibrationInfeasibleError`` when no
-    sigma in the bracket works.
+    nothing to the width sum.  The active entries must share one box width
+    (``ConfigError`` otherwise), which is what makes the worst-case offset
+    exact.  Raises ``CalibrationInfeasibleError`` when no sigma in the
+    bracket works.
     """
     if epsilon0 <= 0.0:
         raise ConfigError(f"epsilon0 must be positive, got {epsilon0}")
@@ -363,16 +305,13 @@ def calibrate_sigma(
     else:
         sigma = lo
 
-    offset_active, dc = worst_case_offset(sigma, widths_active, k)
-    slack = epsilon0 - math.log(dc)
-    needed = k * (k / 2.0 + math.sqrt(float(np.sum(np.square(widths_active)))))
-    if slack <= 0.0 or sigma * sigma * slack < needed:
+    if not feasible(sigma):
         raise CalibrationInfeasibleError(
             "re-substitution check failed after bisection; inputs are at the "
             "edge of feasibility"
         )
     offset = np.zeros(mask.size)
-    offset[mask] = offset_active
+    offset[mask] = worst_case_offset(sigma, widths_active, k)[0]
     return sigma, offset
 
 
@@ -380,12 +319,11 @@ def calibrate_sigma(
 class PrivacySpec:
     """Local-randomizer configuration shared by every authority.
 
-    ``bounds`` is either one ``(lower, upper)`` pair applied to all entries
-    or a sequence of per-entry pairs.  ``k`` is both the adjacency radius
-    and the L2 sensitivity of the identity query being privatized.  The
-    derived noise scale and offset depend on which entries of a report are
-    positive, so they live on the ``CalibratedMechanism`` produced by
-    :meth:`calibrate`.
+    ``bounds`` is one ``(lower, upper)`` noise box shared by every entry.
+    ``k`` is both the adjacency radius and the L2 sensitivity of the
+    identity query being privatized.  The derived noise scale and offset
+    depend on which entries of a report are positive, so they live on the
+    ``CalibratedMechanism`` produced by :meth:`calibrate`.
     """
 
     epsilon0: float
@@ -401,16 +339,12 @@ class PrivacySpec:
         if self.k <= 0.0:
             raise ConfigError(f"adjacency radius k must be positive, got {self.k}")
         bounds = tuple(self.bounds)
-        if len(bounds) == 2 and all(isinstance(v, (int, float)) for v in bounds):
-            bounds = ((float(bounds[0]), float(bounds[1])),)
-            object.__setattr__(self, "_uniform", True)
-        else:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-            object.__setattr__(self, "_uniform", False)
-        for lo, hi in bounds:
-            if not lo < hi:
-                raise ConfigError(f"need lower < upper in bounds, got [{lo}, {hi}]")
-        object.__setattr__(self, "bounds", bounds)
+        if len(bounds) != 2 or not all(isinstance(v, (int, float)) for v in bounds):
+            raise ConfigError(f"bounds must be one (lower, upper) pair, got {self.bounds!r}")
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if not lo < hi:
+            raise ConfigError(f"need lower < upper in bounds, got [{lo}, {hi}]")
+        object.__setattr__(self, "bounds", (lo, hi))
 
     @property
     def sensitivity(self) -> float:
@@ -418,13 +352,8 @@ class PrivacySpec:
         return self.k
 
     def bounds_arrays(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._uniform:
-            lo, hi = self.bounds[0]
-            return np.full(m, lo), np.full(m, hi)
-        if len(self.bounds) != m:
-            raise ConfigError(f"{len(self.bounds)} bound pairs configured but {m} entries required")
-        arr = np.asarray(self.bounds, dtype=float)
-        return arr[:, 0].copy(), arr[:, 1].copy()
+        lo, hi = self.bounds
+        return np.full(m, lo), np.full(m, hi)
 
     def calibrate(self, support_mask) -> "CalibratedMechanism":
         mask = tuple(bool(v) for v in support_mask)

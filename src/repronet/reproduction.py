@@ -30,6 +30,7 @@ infection everywhere.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -359,36 +360,46 @@ def build_matrix(
 
 
 def spectral_radius(matrix: np.ndarray, rtol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Perron root of a finite non-negative square matrix by power iteration.
+    """Perron root of a finite non-negative square matrix, certified by a bracket.
 
-    Iterates on ``M + I`` (the unit shift makes irreducible matrices
-    primitive, so periodic structure cannot stall convergence) from the
-    all-ones vector and returns the shifted dominant eigenvalue minus one.
+    Power iteration from the all-ones vector.  Every iterate ``v > 0`` gives
+    the Collatz-Wielandt bracket ``min_i (Mv)_i/v_i <= rho <= max_i
+    (Mv)_i/v_i`` (Horn & Johnson, *Matrix Analysis*, ch. 8).  Each step
+    multiplies by ``M + uI``, where ``u`` is the tightest upper bound so far
+    (the largest row sum at the start): a shift that scales with the
+    matrix makes irreducible matrices primitive without swamping the
+    spectral gap of a matrix with a tiny root.  A reducible matrix (a zero
+    row, a block triangle) has a Perron vector with zero entries, whose
+    ratios hold the lower end down; so the lower end is also taken from the
+    iterate with its negligible entries zeroed, since ``Mx >= mu x`` with
+    ``x >= 0``, ``x != 0`` implies ``rho >= mu``.  Returns the bracket's
+    midpoint once its width is at most ``rtol`` times its upper end, and
+    raises ``ConvergenceError`` after ``max_iter`` iterations.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)) or np.any(mat < 0.0):
         raise ConfigError("spectral radius requires a finite non-negative matrix")
-    n = mat.shape[0]
-    if n == 1:
-        return float(mat[0, 0])
-
-    shifted = mat + np.eye(n)
-    vec = np.full(n, 1.0 / np.sqrt(n))
-    estimate = None
+    vec = np.ones(mat.shape[0])
+    lower, upper = 0.0, math.inf
     for _ in range(max_iter):
-        nxt = shifted @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:  # only possible for the zero matrix
-            return 0.0
-        vec = nxt / norm
-        new_estimate = float(vec @ (shifted @ vec))
-        if estimate is not None and abs(new_estimate - estimate) <= rtol * abs(new_estimate):
-            return max(new_estimate - 1.0, 0.0)
-        estimate = new_estimate
+        product = mat @ vec
+        ratios = product / vec
+        upper = min(upper, float(np.max(ratios)))
+        lower = max(lower, float(np.min(ratios)))
+        kept = vec >= rtol * float(np.max(vec))
+        if upper - lower > rtol * upper and not np.all(kept):
+            head = np.where(kept, vec, 0.0)
+            lower = max(lower, float(np.min((mat @ head)[kept] / vec[kept])))
+        if upper - lower <= rtol * upper:
+            return 0.5 * (lower + upper)
+        vec = product + upper * vec
+        # Any positive vector gives a valid bracket; the floor keeps entries
+        # that decay without bound (a nilpotent block) from underflowing to 0.
+        vec = np.maximum(vec / np.max(vec), np.finfo(float).tiny)
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations"
+        f"power iteration did not close the spectral bracket within {max_iter} iterations"
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -16,9 +16,11 @@ from repronet.privacy import (
     amplified_epsilon,
     bounded_gaussian_randomize,
     calibrate_sigma,
+    delta_c,
     shuffle,
     trunc_gauss_moments,
     trunc_gauss_sample,
+    worst_case_offset,
 )
 from repronet.seeding import StreamRole, stream
 
@@ -104,6 +106,52 @@ def test_calibration_golden_value_and_minimality():
     assert oracles.sigma_inequality(sigma, 1.0, 1e-5, widths, dc)
     dc_low = oracles.delta_c_grid_max(0.99 * sigma, widths, 1e-5)
     assert not oracles.sigma_inequality(0.99 * sigma, 1.0, 1e-5, widths, dc_low)
+
+
+# Frozen from the bisection over the searched worst-case offset that the
+# closed form replaced (epsilon0=1, k=1e-5, every active entry in [0, 14]).
+FROZEN_SIGMAS = {1: 0.011836152989517307, 5: 0.01770213246355519, 10: 0.021053520031373354}
+
+
+@pytest.mark.parametrize("dim", sorted(FROZEN_SIGMAS))
+def test_calibration_matches_frozen_sigmas(dim):
+    sigma, _ = calibrate_sigma(1.0, 1e-5, np.zeros(dim), np.full(dim, 14.0), np.ones(dim, dtype=bool))
+    # a flipped bisection decision would move sigma by ~1e-7 or more
+    assert sigma == pytest.approx(FROZEN_SIGMAS[dim], rel=1e-12)
+
+
+@given(
+    dim=st.integers(1, 12),
+    width=st.floats(0.1, 20.0),
+    sigma_ratio=st.floats(0.02, 5.0),
+    k_ratio=st.floats(1e-3, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=10, width=14.0, sigma_ratio=0.3, k_ratio=3.0, seed=0)
+@settings(max_examples=30, deadline=None)
+def test_worst_case_offset_is_the_maximum_property(dim, width, sigma_ratio, k_ratio, seed):
+    # k_ratio scales k against sqrt(dim) * width / 2, where the maximizer
+    # moves from the ball's surface to the windows' centres
+    widths = np.full(dim, width)
+    sigma = sigma_ratio * width
+    k = k_ratio * np.sqrt(dim) * width / 2.0
+    offset, best = worst_case_offset(sigma, widths, k)
+    assert np.all(offset >= 0.0)
+    assert np.linalg.norm(offset) <= k * (1.0 + 1e-12)
+    assert best == delta_c(sigma, widths, offset)
+    tol = best * 1e-12
+    gen = np.random.default_rng(seed)
+    directions = np.abs(gen.standard_normal((200, dim)))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = k * gen.uniform(0.0, 1.0, 200) ** (1.0 / dim)
+    near = np.maximum(offset + 1e-3 * width * gen.standard_normal((200, dim)), 0.0)
+    norms = np.linalg.norm(near, axis=1, keepdims=True)
+    near = np.where(norms > k, near * (k / np.maximum(norms, 1e-300)), near)
+    # the windows' centres maximize every factor at once, when feasible
+    centres = np.full((1 if np.sqrt(dim) * width / 2.0 <= k else 0, dim), width / 2.0)
+    for candidate in np.vstack([radii[:, None] * directions, near, centres]):
+        assert delta_c(sigma, widths, candidate) <= best + tol
+    assert oracles.delta_c_grid_max(sigma, widths, k, steps=3) <= best + tol
 
 
 def test_inactive_entries_do_not_contribute():
@@ -245,12 +293,18 @@ def test_privacy_spec_validation():
         PrivacySpec(epsilon0=1.0, delta=0.0)
     with pytest.raises(ConfigError):
         PrivacySpec(epsilon0=1.0, bounds=(3.0, 1.0))
-    spec = PrivacySpec(epsilon0=1.0, bounds=((0.0, 1.0), (0.0, 2.0)))
-    lower, upper = spec.bounds_arrays(2)
-    np.testing.assert_array_equal(lower, [0.0, 0.0])
-    np.testing.assert_array_equal(upper, [1.0, 2.0])
     with pytest.raises(ConfigError):
-        spec.bounds_arrays(3)
+        PrivacySpec(epsilon0=1.0, bounds=((0.0, 1.0), (0.0, 2.0)))
+
+
+def test_calibration_rejects_unequal_active_widths():
+    lower = np.zeros(3)
+    upper = np.array([14.0, 7.0, 14.0])
+    with pytest.raises(ConfigError):
+        calibrate_sigma(1.0, 1e-5, lower, upper, np.ones(3, dtype=bool))
+    # only the active entries must share a width
+    sigma, _ = calibrate_sigma(1.0, 1e-5, lower, upper, np.array([True, False, True]))
+    assert sigma == calibrate_sigma(1.0, 1e-5, lower[:2], np.full(2, 14.0), np.ones(2, dtype=bool))[0]
 
 
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
-from repronet.exceptions import ConfigError, UndefinedRatioError
+from repronet.exceptions import ConfigError, ConvergenceError, UndefinedRatioError
 from repronet.reproduction import MatrixKind, cern_vector, lern_vector
 
 
@@ -113,6 +113,42 @@ def test_spectral_radius_against_dense_oracle(rng):
     for _ in range(20):
         mat = rng.uniform(0.0, 1.0, (6, 6))
         assert rn.spectral_radius(mat) == pytest.approx(oracles.spectral_radius(mat), rel=1e-9)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 10),
+    shape=st.sampled_from(["dense", "zero_row", "upper_block_dominant", "lower_block_dominant"]),
+    scale=st.floats(1e-4, 1.0),
+)
+@example(seed=0, n=6, shape="dense", scale=1e-4)
+@settings(max_examples=60, deadline=None)
+def test_spectral_radius_bracket_matches_oracle_property(seed, n, shape, scale):
+    # A zero row or a dominant upper-left block gives a Perron vector with zero
+    # entries; a scale of 1e-4 puts the root far below a unit shift.
+    gen = np.random.default_rng(seed)
+    mat = gen.uniform(0.0, 1.0, (n, n))
+    if shape == "zero_row":
+        mat[gen.integers(0, n)] = 0.0
+    elif shape != "dense":
+        cut = int(gen.integers(1, n))
+        mat[cut:, :cut] = 0.0
+        # the blocks' roots differ by at least 10%, so the gap is not tiny
+        ratio = gen.uniform(0.1, 0.9)
+        head, tail = oracles.spectral_radius(mat[:cut, :cut]), oracles.spectral_radius(mat[cut:, cut:])
+        if shape == "upper_block_dominant":
+            mat[cut:, cut:] *= ratio * head / tail
+        else:
+            mat[:cut, :cut] *= ratio * tail / head
+    mat *= scale
+    assert rn.spectral_radius(mat) == pytest.approx(oracles.spectral_radius(mat), rel=1e-11)
+
+
+def test_spectral_radius_keeps_iteration_budget():
+    with pytest.raises(ConvergenceError):
+        rn.spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))  # nilpotent: rho = 0
+    with pytest.raises(ConvergenceError):
+        rn.spectral_radius(np.array([[1.0, 2.0], [3.0, 1.0]]), max_iter=1)
 
 
 def test_spectral_radius_rejects_bad_input():
