@@ -8,9 +8,13 @@ moments follow by linearity from the closed-form single-draw moments:
     var(q, r)  = sum_k Var[draw_k] / (sum_k gamma_k x_k)^2
 
 with k ranging over cluster q's members and a zero entry contributing zero
-mean and zero variance.  The RMSE harness runs the full pipeline repeatedly
-over a privacy-level grid and reports per-entry and aggregate errors; the
-percentage error is RMSE over the mean magnitude of the exact entries.
+mean and zero variance.  The RMSE harness reproduces, bit for bit, many
+private pipeline runs per state over a privacy-level grid and reports
+per-entry and aggregate errors; the percentage error is RMSE over the mean
+magnitude of the exact entries.  It computes in arrays instead of running
+the actors: each authority draws its noise from its own pipeline stream,
+and the shuffle is skipped because assembly sorts before it sums, so no
+order of the reports can change the aggregate (see ``rmse_sweep``).
 """
 
 from __future__ import annotations
@@ -21,11 +25,19 @@ import numpy as np
 
 from .exceptions import CalibrationInfeasibleError, ConfigError
 from .model import EpidemicState, ModelKind, TransmissionNetwork, derivative
-from .privacy import PrivacySpec, TruncGaussParams, trunc_gauss_moments, trunc_gauss_sample
-from .protocol import run_pipeline
-from .reproduction import (
+from .privacy import (
+    PrivacySpec,
+    TruncGaussParams,
+    bounded_gaussian_randomize,
+    trunc_gauss_moments,
+    trunc_gauss_sample,
+)
+from .protocol import run_pipeline  # noqa: F401  (see below)
+from .reproduction import (  # noqa: F401  (cluster_matrix, see below)
     DEFAULT_INFECTION_FLOOR,
+    ClusterRnMatrix,
     Partition,
+    assemble_clusters,
     cern_vector,
     cluster_matrix,
     cluster_weight_sums,
@@ -33,6 +45,10 @@ from .reproduction import (
     lern_vector,
     report_matrix,
 )
+from .seeding import StreamRole, stream
+
+# ``run_pipeline`` and ``cluster_matrix`` are not called here; they stay bound
+# in this module because perfbench's traced runs wrap them by these names.
 
 __all__ = [
     "EntryAccuracy",
@@ -192,6 +208,27 @@ def monte_carlo_entry_stats(
     return float(np.mean(values)), float(np.var(values, ddof=1))
 
 
+def _private_reports(
+    reports: np.ndarray, spec: PrivacySpec, master_seed: int, epoch: int, trials: int
+) -> np.ndarray:
+    """Every authority's report in every trial, ``(trials, n, m)``.
+
+    Randomized as ``LocalAuthority.handle`` does; an all-zero report passes
+    through unchanged.
+    """
+    out = np.empty((trials,) + reports.shape)
+    out[:] = reports
+    for i, zeta in enumerate(reports):
+        if np.any(zeta > 0.0):
+            rngs = [
+                stream(master_seed, StreamRole.LOCAL_AUTHORITY, i, epoch, t) for t in range(trials)
+            ]
+            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), rngs)
+    if np.any(out < 0.0):  # a box reaching below zero; the pipeline's report check
+        raise ConfigError("report entries must be finite and >= 0")
+    return out
+
+
 def rmse_sweep(
     net: TransmissionNetwork,
     trajectory: list[EpidemicState],
@@ -206,49 +243,49 @@ def rmse_sweep(
     clamp: tuple[float, float] | None = None,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> AccuracyReport:
-    """Run the full pipeline over a privacy-level grid and collect errors.
+    """Private cluster matrices over a privacy-level grid, and their errors.
 
-    For every epsilon in the grid, every state in ``trajectory`` is pushed
-    through the pipeline ``trials`` times (independent streams per trial);
-    exact matrices are computed once per state.  Infeasible calibrations are
-    reported per epsilon instead of aborting the sweep.
+    For every epsilon and state (epoch = its index in ``trajectory``) the
+    matrices equal, bit for bit, those of ``trials`` runs of
+    ``protocol.run_pipeline``.  They are computed in arrays: exact reports
+    once per state, one calibration and box check per authority and state,
+    and trial t's noise from the authority's ``(LOCAL_AUTHORITY, i, epoch,
+    t)`` stream.  Neither the actors nor the shuffle can change a bit, so
+    neither runs: assembly sorts each column before summing, and the
+    shuffler streams are independent of the authorities'.  Infeasible
+    calibrations are reported per epsilon instead of aborting the sweep.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if master_seed < 0:
+        raise ConfigError(f"master seed must be non-negative, got {master_seed}")
     report = AccuracyReport(eps_grid=tuple(float(e) for e in eps_grid))
 
-    exact_matrices = [
-        cluster_matrix(net, state, partition, floor, clamp).values for state in trajectory
-    ]
-    exact_scale = float(np.mean(np.abs(np.stack(exact_matrices))))
+    epochs = []  # (exact reports, cluster weights) per state
+    for state in trajectory:
+        x_f = floored_infections(state.x, floor)
+        reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
+        epochs.append((reports, cluster_weight_sums(net.gamma, x_f, partition)))
+    exact = np.stack(
+        [ClusterRnMatrix(assemble_clusters(r, w, partition)).values for r, w in epochs]
+    )
+    exact_scale = float(np.mean(np.abs(exact)))
 
     for eps in report.eps_grid:
         spec = PrivacySpec(epsilon0=eps, delta=delta, k=k, bounds=bounds)
-        sq_errors = []
-        per_entry: dict[tuple[int, int, int], list[float]] = {}
         try:
-            for epoch, state in enumerate(trajectory):
-                for trial in range(trials):
-                    private = run_pipeline(
-                        net,
-                        state,
+            private = np.stack(  # (epochs, trials, m, m)
+                [
+                    assemble_clusters(
+                        _private_reports(reports, spec, master_seed, epoch, trials),
+                        weights,
                         partition,
-                        spec,
-                        master_seed=master_seed,
-                        epoch=epoch,
-                        trial=trial,
-                        floor=floor,
-                        clamp=clamp,
-                    ).values
-                    diff = private - exact_matrices[epoch]
-                    sq_errors.append(diff**2)
-                    for q in range(partition.m):
-                        for r in range(partition.m):
-                            per_entry.setdefault((epoch, q, r), []).append(
-                                float(private[q, r])
-                            )
+                    )
+                    for epoch, (reports, weights) in enumerate(epochs)
+                ]
+            )
         except CalibrationInfeasibleError as exc:
             report.summaries.append(
                 EpsilonSummary(
@@ -262,7 +299,7 @@ def rmse_sweep(
             )
             continue
 
-        rmse = float(np.sqrt(np.mean(np.stack(sq_errors))))
+        rmse = float(np.sqrt(np.mean((private - exact[:, None]) ** 2)))
         report.summaries.append(
             EpsilonSummary(
                 eps=eps,
@@ -272,10 +309,13 @@ def rmse_sweep(
                 trials=trials,
             )
         )
-        for (epoch, q, r), values in per_entry.items():
-            arr = np.array(values)
-            exact = float(exact_matrices[epoch][q, r])
-            entry_rmse = float(np.sqrt(np.mean((arr - exact) ** 2)))
+        # each entry's trials contiguous, (epochs, m, m, trials), so the
+        # reductions sum in the order of a one-entry array
+        values = np.ascontiguousarray(np.moveaxis(private, 1, -1))
+        means = np.mean(values, axis=-1)
+        variances = np.var(values, axis=-1, ddof=1) if trials > 1 else np.zeros_like(means)
+        rmses = np.sqrt(np.mean((values - exact[..., None]) ** 2, axis=-1))
+        for epoch, q, r in np.ndindex(exact.shape):
             report.entries.append(
                 EntryAccuracy(
                     epoch=epoch,
@@ -283,11 +323,11 @@ def rmse_sweep(
                     eps=eps,
                     q=q,
                     r=r,
-                    exact=exact,
-                    mean_private=float(np.mean(arr)),
-                    var_private=float(np.var(arr, ddof=1)) if arr.size > 1 else 0.0,
-                    rmse=entry_rmse,
-                    pct_error=entry_rmse / exact_scale,
+                    exact=float(exact[epoch, q, r]),
+                    mean_private=float(means[epoch, q, r]),
+                    var_private=float(variances[epoch, q, r]),
+                    rmse=float(rmses[epoch, q, r]),
+                    pct_error=float(rmses[epoch, q, r]) / exact_scale,
                 )
             )
     return report

@@ -122,35 +122,45 @@ def _sample_box_truncated(
     sigma: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Vector of truncated-Gaussian draws with per-element parameters."""
-    n = mu.size
-    out = np.empty(n)
-    alpha = (lower - mu) / sigma
-    beta = (upper - mu) / sigma
-    mass = ndtr(beta) - ndtr(alpha)
+    """Rows of truncated-Gaussian draws, row k from ``rngs[k]``.
 
-    inverse = mass < _MIN_REJECTION_MASS
-    if np.any(inverse):
-        lo = ndtr(alpha[inverse])
-        hi = ndtr(beta[inverse])
-        u = rng.uniform(lo, hi)
-        out[inverse] = mu[inverse] + sigma[inverse] * ndtri(u)
+    Column j of every row draws from the parameters at index j.  Each
+    generator makes exactly the calls a one-row draw makes: the inverse-CDF
+    uniforms, one ``standard_normal`` per rejection round its row still
+    needs, then the fallback uniforms.  Only the accept test runs over all
+    rows at once, so row k is bit-identical to drawing it alone.
+    """
+    d = mu.size
+    out = np.empty((len(rngs), d))
+    lo = ndtr((lower - mu) / sigma)
+    hi = ndtr((upper - mu) / sigma)
 
-    pending = np.nonzero(~inverse)[0]
+    inverse = hi - lo < _MIN_REJECTION_MASS
+    if inverse.any():
+        u = np.stack([rng.uniform(lo[inverse], hi[inverse]) for rng in rngs])
+        out[:, inverse] = mu[inverse] + sigma[inverse] * ndtri(u)
+
+    flat = out.reshape(-1)
+    pending = np.flatnonzero(np.broadcast_to(~inverse, out.shape))  # row-major
     rounds = 0
     while pending.size:
-        draw = mu[pending] + sigma[pending] * rng.standard_normal(pending.size)
-        ok = (draw > lower[pending]) & (draw <= upper[pending])
-        out[pending[ok]] = draw[ok]
+        if len(rngs) == 1:
+            z = rngs[0].standard_normal(pending.size)
+        else:
+            counts = np.bincount(pending // d)
+            z = np.concatenate([rngs[k].standard_normal(counts[k]) for k in np.flatnonzero(counts)])
+        col = pending % d
+        draw = mu[col] + sigma[col] * z
+        ok = (draw > lower[col]) & (draw <= upper[col])
+        flat[pending[ok]] = draw[ok]
         pending = pending[~ok]
         rounds += 1
         if rounds > 1000 and pending.size:  # acceptance >= 0.05 makes this unreachable
-            lo = ndtr(alpha[pending])
-            hi = ndtr(beta[pending])
-            u = rng.uniform(lo, hi)
-            out[pending] = mu[pending] + sigma[pending] * ndtri(u)
+            for k in np.unique(pending // d):
+                left = pending[pending // d == k] % d
+                out[k, left] = mu[left] + sigma[left] * ndtri(rngs[k].uniform(lo[left], hi[left]))
             break
 
     # Keep the support half-open despite round-off at the edges.
@@ -169,11 +179,8 @@ def trunc_gauss_sample(
     inverse-CDF transform when the window mass drops below 5%.
     """
     n = 1 if size is None else int(size)
-    mu = np.full(n, params.mu)
-    sigma = np.full(n, params.sigma)
-    lower = np.full(n, params.lower)
-    upper = np.full(n, params.upper)
-    draws = _sample_box_truncated(mu, sigma, lower, upper, rng)
+    fields = (params.mu, params.sigma, params.lower, params.upper)
+    draws = _sample_box_truncated(*(np.full(n, v) for v in fields), [rng])[0]
     return float(draws[0]) if size is None else draws
 
 
@@ -400,7 +407,7 @@ def _calibrate_cached(spec: PrivacySpec, mask: tuple) -> CalibratedMechanism:
 def bounded_gaussian_randomize(
     zeta: np.ndarray,
     mechanism: CalibratedMechanism,
-    rng: np.random.Generator,
+    rngs: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Privatize a non-negative vector entrywise.
 
@@ -408,33 +415,37 @@ def bounded_gaussian_randomize(
     value inside their boxes; zero entries are returned exactly zero.  An
     active entry outside its box (or sitting exactly on the open lower
     edge) is an error: the caller is expected to clamp values into the box
-    before randomizing.
+    before randomizing.  One generator gives one privatized vector; a
+    sequence of generators gives one row per generator, each bit-identical
+    to a one-generator call, with the checks above run once.
     """
+    single = isinstance(rngs, np.random.Generator)
+    if single:
+        rngs = [rngs]
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape != (mechanism.m,):
         raise ConfigError(f"expected vector of length {mechanism.m}, got shape {zeta.shape}")
-    if np.any(zeta < 0.0):
+    if (zeta < 0.0).any():
         raise ConfigError("report vectors must be non-negative")
     positive = zeta > 0.0
-    if tuple(bool(v) for v in positive) != mechanism.support:
+    if tuple(positive.tolist()) != mechanism.support:
         raise PrivacyBoundsError(
             "support pattern of the vector differs from the calibrated pattern"
         )
-    out = np.zeros_like(zeta)
-    if not np.any(positive):
-        return out
+    out = np.zeros((len(rngs), zeta.size))
     lower = np.array(mechanism.lower)[positive]
     upper = np.array(mechanism.upper)[positive]
     values = zeta[positive]
-    if np.any(values <= lower) or np.any(values > upper):
-        bad = int(np.nonzero((values <= lower) | (values > upper))[0][0])
+    outside = (values <= lower) | (values > upper)
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])
         raise PrivacyBoundsError(
             f"entry value {values[bad]} lies outside its noise box "
             f"({lower[bad]}, {upper[bad]}]; clamp reports before randomizing"
         )
     sigma = np.full(values.size, mechanism.sigma)
-    out[positive] = _sample_box_truncated(values, sigma, lower, upper, rng)
-    return out
+    out[:, positive] = _sample_box_truncated(values, sigma, lower, upper, rngs)
+    return out[0] if single else out
 
 
 def shuffle(items: Sequence, rng: np.random.Generator) -> list:

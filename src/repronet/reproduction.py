@@ -51,6 +51,7 @@ __all__ = [
     "effective_rows",
     "report_matrix",
     "assemble",
+    "assemble_clusters",
     "cluster_weight_sums",
     "lern",
     "lern_vector",
@@ -269,12 +270,30 @@ def report_matrix(
 
 
 def assemble(reports: np.ndarray, denom: float) -> np.ndarray:
-    """One cluster's vector: its members' reports (rows) summed, over ``denom``.
+    """One cluster's vector: its members' reports summed, over ``denom``.
 
-    Each column is summed in ascending value order, so the result is
-    bit-identical under any permutation of the rows.
+    ``reports`` has the members on axis -2 and the target clusters on axis
+    -1; leading axes (independent trials, say) are kept.  Each column is
+    summed in ascending value order, so the result is bit-identical under
+    any permutation of the members.
     """
-    return np.sum(np.sort(reports, axis=0), axis=0) / denom
+    return np.sum(np.sort(reports, axis=-2), axis=-2) / denom
+
+
+def assemble_clusters(reports: np.ndarray, denoms: np.ndarray, partition: Partition) -> np.ndarray:
+    """Every cluster's vector from all entities' reports: ``(..., n, m)`` to ``(..., m, m)``.
+
+    Row q is ``assemble`` of cluster q's members' reports over ``denoms[q]``.
+    ``np.take`` gathers them C-contiguously, as ``reports[members]`` does for
+    one trial; the order in which numpy sums depends on the memory layout.
+    """
+    return np.stack(
+        [
+            assemble(np.take(reports, partition.members(q), axis=-2), denoms[q])
+            for q in range(partition.m)
+        ],
+        axis=-2,
+    )
 
 
 def cluster_weight_sums(gamma: np.ndarray, x_f: np.ndarray, partition: Partition) -> np.ndarray:
@@ -375,12 +394,23 @@ def spectral_radius(matrix: np.ndarray, rtol: float = 1e-12, max_iter: int = 10_
     ``x >= 0``, ``x != 0`` implies ``rho >= mu``.  Returns the bracket's
     midpoint once its width is at most ``rtol`` times its upper end, and
     raises ``ConvergenceError`` after ``max_iter`` iterations.
+
+    A zero root is certified before iterating, since no bracket closes
+    relative to it: ``rho = 0`` exactly when the support digraph has no
+    cycle, that is, when repeatedly removing the sinks (nodes with no edge
+    to a remaining node) removes every node.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)) or np.any(mat < 0.0):
         raise ConfigError("spectral radius requires a finite non-negative matrix")
+    support = mat > 0.0
+    alive = np.ones(mat.shape[0], dtype=bool)
+    while (sinks := alive & ~np.any(support[:, alive], axis=1)).any():
+        alive &= ~sinks
+    if not alive.any():
+        return 0.0
     vec = np.ones(mat.shape[0])
     lower, upper = 0.0, math.inf
     for _ in range(max_iter):
@@ -460,10 +490,7 @@ def cluster_matrix(
     """
     x_f = floored_infections(state.x, floor)
     reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
-    denoms = cluster_weight_sums(net.gamma, x_f, partition)
-    values = np.stack(
-        [assemble(reports[partition.members(q)], denoms[q]) for q in range(partition.m)]
-    )
+    values = assemble_clusters(reports, cluster_weight_sums(net.gamma, x_f, partition), partition)
     return ClusterRnMatrix(values=values, t=state.t, private=False)
 
 

@@ -2,13 +2,23 @@
 
 Everything here is written as plain loops straight from the defining
 equations, deliberately sharing no code with the package's vectorized
-kernels.
+kernels.  The one exception is ``rmse_sweep_reference``, which loops over
+the package's own per-trial pipeline: it is the reference path the batched
+``analysis.rmse_sweep`` must reproduce.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate as scipy_integrate
+from scipy.special import ndtr, ndtri
+
+from repronet.analysis import AccuracyReport, EntryAccuracy, EpsilonSummary
+from repronet.exceptions import CalibrationInfeasibleError, ConfigError
+from repronet.model import EpidemicState, TransmissionNetwork
+from repronet.privacy import PrivacySpec
+from repronet.protocol import run_pipeline
+from repronet.reproduction import DEFAULT_INFECTION_FLOOR, Partition, cluster_matrix
 
 
 def strongly_connected(b):
@@ -155,3 +165,141 @@ def sigma_inequality(sigma, epsilon0, k, widths, dc):
     lhs = sigma * sigma
     rhs = k * (k / 2.0 + math.sqrt(sum(w * w for w in widths))) / (epsilon0 - math.log(dc))
     return (epsilon0 - math.log(dc)) > 0 and lhs >= rhs
+
+
+def rmse_sweep_reference(
+    net: TransmissionNetwork,
+    trajectory: list[EpidemicState],
+    partition: Partition,
+    eps_grid,
+    trials: int,
+    master_seed: int,
+    *,
+    delta: float = 0.01,
+    k: float = 1e-5,
+    bounds: tuple = (0.0, 14.0),
+    clamp: tuple[float, float] | None = None,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+) -> AccuracyReport:
+    """``analysis.rmse_sweep`` as one ``run_pipeline`` call per (epsilon, state, trial).
+
+    The sweep's loop before it was batched, kept unchanged as the reference
+    that the batched sweep must match bit for bit.
+    """
+    if not trajectory:
+        raise ConfigError("trajectory must contain at least one state")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    report = AccuracyReport(eps_grid=tuple(float(e) for e in eps_grid))
+
+    exact_matrices = [
+        cluster_matrix(net, state, partition, floor, clamp).values for state in trajectory
+    ]
+    exact_scale = float(np.mean(np.abs(np.stack(exact_matrices))))
+
+    for eps in report.eps_grid:
+        spec = PrivacySpec(epsilon0=eps, delta=delta, k=k, bounds=bounds)
+        sq_errors = []
+        per_entry: dict[tuple[int, int, int], list[float]] = {}
+        try:
+            for epoch, state in enumerate(trajectory):
+                for trial in range(trials):
+                    private = run_pipeline(
+                        net,
+                        state,
+                        partition,
+                        spec,
+                        master_seed=master_seed,
+                        epoch=epoch,
+                        trial=trial,
+                        floor=floor,
+                        clamp=clamp,
+                    ).values
+                    diff = private - exact_matrices[epoch]
+                    sq_errors.append(diff**2)
+                    for q in range(partition.m):
+                        for r in range(partition.m):
+                            per_entry.setdefault((epoch, q, r), []).append(
+                                float(private[q, r])
+                            )
+        except CalibrationInfeasibleError as exc:
+            report.summaries.append(
+                EpsilonSummary(
+                    eps=eps,
+                    feasible=False,
+                    rmse=float("nan"),
+                    pct_error=float("nan"),
+                    trials=trials,
+                    message=str(exc),
+                )
+            )
+            continue
+
+        rmse = float(np.sqrt(np.mean(np.stack(sq_errors))))
+        report.summaries.append(
+            EpsilonSummary(
+                eps=eps,
+                feasible=True,
+                rmse=rmse,
+                pct_error=rmse / exact_scale,
+                trials=trials,
+            )
+        )
+        for (epoch, q, r), values in per_entry.items():
+            arr = np.array(values)
+            exact = float(exact_matrices[epoch][q, r])
+            entry_rmse = float(np.sqrt(np.mean((arr - exact) ** 2)))
+            report.entries.append(
+                EntryAccuracy(
+                    epoch=epoch,
+                    t=float(trajectory[epoch].t),
+                    eps=eps,
+                    q=q,
+                    r=r,
+                    exact=exact,
+                    mean_private=float(np.mean(arr)),
+                    var_private=float(np.var(arr, ddof=1)) if arr.size > 1 else 0.0,
+                    rmse=entry_rmse,
+                    pct_error=entry_rmse / exact_scale,
+                )
+            )
+    return report
+
+
+def sample_box_truncated_one_generator(mu, sigma, lower, upper, rng):
+    """Truncated-Gaussian draws from one generator.
+
+    The package's sampler before it took one generator per row, kept
+    unchanged as the reference for each of its rows.
+    """
+    n = mu.size
+    out = np.empty(n)
+    alpha = (lower - mu) / sigma
+    beta = (upper - mu) / sigma
+    mass = ndtr(beta) - ndtr(alpha)
+
+    inverse = mass < 0.05
+    if np.any(inverse):
+        lo = ndtr(alpha[inverse])
+        hi = ndtr(beta[inverse])
+        u = rng.uniform(lo, hi)
+        out[inverse] = mu[inverse] + sigma[inverse] * ndtri(u)
+
+    pending = np.nonzero(~inverse)[0]
+    rounds = 0
+    while pending.size:
+        draw = mu[pending] + sigma[pending] * rng.standard_normal(pending.size)
+        ok = (draw > lower[pending]) & (draw <= upper[pending])
+        out[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+        rounds += 1
+        if rounds > 1000 and pending.size:  # acceptance >= 0.05 makes this unreachable
+            lo = ndtr(alpha[pending])
+            hi = ndtr(beta[pending])
+            u = rng.uniform(lo, hi)
+            out[pending] = mu[pending] + sigma[pending] * ndtri(u)
+            break
+
+    # Keep the support half-open despite round-off at the edges.
+    open_lower = np.nextafter(lower, upper)
+    return np.minimum(np.maximum(out, open_lower), upper)

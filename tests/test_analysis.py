@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 import repronet as rn
 from conftest import make_network, make_state
 from repronet.analysis import (
@@ -133,6 +138,46 @@ def test_rmse_sweep_scale_free_percentage_error(rng):
     assert scaled.summary_for(2.0).rmse == pytest.approx(
         base.summary_for(2.0).rmse * scale, rel=1e-4
     )
+
+
+def _bits(record):
+    """A record's fields, with every float as its exact hex form (NaN included)."""
+    return [
+        (type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(record)
+    ]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    trials=st.sampled_from([1, 2, 3, 9]),  # 9: numpy sums 8 or more values pairwise
+    k=st.sampled_from([1e-5, 1e-2, 2.0, 50.0]),
+)
+@example(seed=0, sizes=[9], trials=9, k=1e-2)  # a cluster of 9 members, 9 trials
+@example(seed=1, sizes=[1, 2], trials=2, k=2.0)  # eps 0.06 on the inverse-CDF branch
+@settings(max_examples=25, deadline=None)
+def test_rmse_sweep_matches_per_trial_pipeline_property(seed, sizes, trials, k):
+    gen = np.random.default_rng(seed)
+    n = sum(sizes)
+    net = make_network(gen, n)
+    blocks = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+    partition = rn.Partition.from_blocks([block.tolist() for block in blocks])
+    states = []
+    for t in (0.0, 1.5):
+        x = gen.uniform(1e-3, 0.2, n)
+        s = 1.0 - x
+        if n > 1:  # one authority's report all zero (with n = 1 every entry would be)
+            s[gen.integers(n)] = 0.0
+        states.append(rn.EpidemicState(t=t, s=s, x=x, r=1.0 - x - s))
+    # 1e-12 is infeasible for every k, and so are 0.06 and 1 for k=50
+    eps_grid = [1e-12, 0.06, 1.0, 1e6]
+    settings_ = dict(k=k, bounds=(0.0, 1.0), clamp=(0.0, 1.0))
+    batched = rmse_sweep(net, states, partition, eps_grid, trials, seed, **settings_)
+    reference = oracles.rmse_sweep_reference(net, states, partition, eps_grid, trials, seed, **settings_)
+    assert [_bits(row) for row in batched.summaries] == [_bits(row) for row in reference.summaries]
+    assert [_bits(row) for row in batched.entries] == [_bits(row) for row in reference.entries]
+    assert not batched.summary_for(1e-12).feasible
+    assert not [row for row in batched.entries if row.eps == 1e-12]
 
 
 def test_trichotomy_counts_on_trajectory(rng):

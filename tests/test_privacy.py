@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repronet.exceptions import (
 )
 from repronet.privacy import (
     PrivacySpec,
+    _sample_box_truncated,
     TruncGaussParams,
     amplified_epsilon,
     bounded_gaussian_randomize,
@@ -313,3 +315,94 @@ def test_shuffle_preserves_multiset_property(seed, size):
     gen = np.random.default_rng(seed)
     items = [int(v) for v in gen.integers(0, 5, size)]
     assert sorted(shuffle(items, gen)) == sorted(items)
+
+
+class _Recorder:
+    """A generator that logs each call, so draw sequences can be compared."""
+
+    def __init__(self, seed, normal=None):
+        self.gen = np.random.default_rng(seed)
+        self.normal = normal  # a fixed value for every standard-normal draw
+        self.calls = []
+
+    def uniform(self, low, high):
+        self.calls.append(("uniform", np.size(low)))
+        return self.gen.uniform(low, high)
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", int(size)))
+        return self.gen.standard_normal(size) if self.normal is None else np.full(size, self.normal)
+
+
+def _rows_match_one_generator_calls(mu, sigma, lower, upper, seeds, normal=None):
+    """Rows from one generator each equal one-generator draws, call for call."""
+    many = [_Recorder(seed, normal) for seed in seeds]
+    rows = _sample_box_truncated(mu, sigma, lower, upper, many)
+    assert rows.shape == (len(seeds), mu.size)
+    for row, rec, seed in zip(rows, many, seeds):
+        one = _Recorder(seed, normal)
+        expected = oracles.sample_box_truncated_one_generator(mu, sigma, lower, upper, one)
+        assert row.tobytes() == expected.tobytes()
+        assert rec.calls == one.calls
+    return rows, many
+
+
+def test_sampler_rows_match_one_generator_rejection_branch():
+    # centres on the lower edge accept about half the draws per round
+    mu = np.array([1e-3, 7.0, 2e-3, 13.9])
+    sigma = np.full(4, 0.5)
+    rows, recs = _rows_match_one_generator_calls(
+        mu, sigma, np.zeros(4), np.full(4, 14.0), range(12)
+    )
+    assert all(rec.calls[0] == ("standard_normal", 4) for rec in recs)
+    assert any(len(rec.calls) > 1 for rec in recs)  # a row needing more than one round
+    assert np.all(rows > 0.0) and np.all(rows <= 14.0)
+
+
+def test_sampler_rows_match_one_generator_inverse_cdf_branch():
+    # mu on the upper edge with a wide sigma leaves mass < 0.05 in the box;
+    # the second entry stays on the rejection branch
+    mu = np.array([1.0, 0.5, 1.0])
+    sigma = np.array([50.0, 0.1, 20.0])
+    rows, recs = _rows_match_one_generator_calls(mu, sigma, np.zeros(3), np.ones(3), range(8))
+    assert all(rec.calls[:2] == [("uniform", 2), ("standard_normal", 1)] for rec in recs)
+    assert np.all(rows > 0.0) and np.all(rows <= 1.0)
+
+
+def test_sampler_rows_match_one_generator_open_lower_edge():
+    # a box two ulps wide, centre on its upper edge: the inverse-CDF draw of
+    # seed 3 rounds onto the lower edge and is moved to the first value above it
+    lower = np.array([1.0])
+    upper = np.array([np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
+    lo, hi = ndtr(lower - upper), ndtr(0.0)
+    assert upper + ndtri(np.random.default_rng(3).uniform(lo, hi)) <= lower
+    rows, _ = _rows_match_one_generator_calls(upper.copy(), np.ones(1), lower, upper, range(12))
+    assert rows[3, 0] == np.nextafter(1.0, 2.0)
+    assert np.all(rows > 1.0)
+
+
+def test_sampler_rows_match_one_generator_round_cap():
+    # every normal draw lands outside the box, so each row takes the
+    # inverse-CDF fallback after its 1,001st round
+    mu = np.array([2.0, 5.0])
+    rows, recs = _rows_match_one_generator_calls(
+        mu, np.ones(2), np.zeros(2), np.full(2, 14.0), range(3), normal=1e6
+    )
+    assert all(len(rec.calls) == 1002 and rec.calls[-1] == ("uniform", 2) for rec in recs)
+    assert np.all(rows > 0.0) and np.all(rows <= 14.0)
+
+
+def test_randomizer_rows_match_one_generator_calls():
+    spec = PrivacySpec(epsilon0=1.0, k=1e-3, bounds=(0.0, 14.0))
+    zeta = np.array([2.0, 0.0, 1e-4, 5.0])
+    mech = spec.calibrate(zeta > 0)
+
+    def gen(t):
+        return stream(11, StreamRole.LOCAL_AUTHORITY, 0, 0, t)
+
+    rows = bounded_gaussian_randomize(zeta, mech, [gen(t) for t in range(5)])
+    for t, row in enumerate(rows):
+        assert row.tobytes() == bounded_gaussian_randomize(zeta, mech, gen(t)).tobytes()
+    assert np.all(rows[:, 1] == 0.0)
+    with pytest.raises(PrivacyBoundsError):
+        bounded_gaussian_randomize(np.array([15.0, 0.0, 1.0, 1.0]), mech, [gen(0)])

@@ -146,9 +146,30 @@ def test_spectral_radius_bracket_matches_oracle_property(seed, n, shape, scale):
 
 def test_spectral_radius_keeps_iteration_budget():
     with pytest.raises(ConvergenceError):
-        rn.spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))  # nilpotent: rho = 0
+        rn.spectral_radius(np.array([[1.0, 1.0], [0.0, 1.0]]))  # defective root: 1/t convergence
     with pytest.raises(ConvergenceError):
         rn.spectral_radius(np.array([[1.0, 2.0], [3.0, 1.0]]), max_iter=1)
+
+
+def test_spectral_radius_of_acyclic_support_is_zero():
+    assert rn.spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+    assert rn.spectral_radius(np.triu(np.arange(1.0, 26.0).reshape(5, 5), k=1)) == 0.0
+    # a strongly connected network whose effective matrix loses every cycle
+    # once s = 0 zeroes the rows of nodes 2 and 3
+    b = np.array(
+        [[0.0, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.1], [0.4, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0]]
+    )
+    net = rn.TransmissionNetwork(b=b, gamma=[0.2, 0.3, 0.4, 0.5])
+    state = rn.EpidemicState(
+        t=0.0, s=np.array([0.9, 0.8, 0.0, 0.0]), x=np.array([0.1, 0.2, 0.3, 0.4]),
+        r=np.array([0.0, 0.0, 0.7, 0.6]),
+    )
+    effective = rn.build_matrix(net, state, rn.MatrixKind.EFFECTIVE).values
+    assert np.count_nonzero(effective) == 3
+    assert rn.spectral_radius(effective) == 0.0
+    assert rn.network_reproduction(net, state) == 0.0
+    # a sink beside a cycle still takes the power iteration
+    assert rn.spectral_radius(np.array([[0.5, 1.0], [0.0, 0.0]])) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_spectral_radius_rejects_bad_input():
