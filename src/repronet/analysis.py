@@ -19,12 +19,13 @@ order of the reports can change the aggregate (see ``rmse_sweep``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import CalibrationInfeasibleError, ConfigError
-from .model import EpidemicState, ModelKind, TransmissionNetwork, derivative
+from .exceptions import CalibrationInfeasibleError, ConfigError, UndefinedRatioError
+from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, derivative, inflow
 from .privacy import (
     PrivacySpec,
     TruncGaussParams,
@@ -33,22 +34,25 @@ from .privacy import (
     trunc_gauss_sample,
 )
 from .protocol import run_pipeline  # noqa: F401  (see below)
-from .reproduction import (  # noqa: F401  (cluster_matrix, see below)
+from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector, lern_vector: see below)
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
     Partition,
+    _check_positive_infection,
     assemble_clusters,
     cern_vector,
     cluster_matrix,
     cluster_weight_sums,
     floored_infections,
     lern_vector,
+    member_sums,
     report_matrix,
 )
 from .seeding import StreamRole, stream
 
-# ``run_pipeline`` and ``cluster_matrix`` are not called here; they stay bound
-# in this module because perfbench's traced runs wrap them by these names.
+# ``run_pipeline``, ``cluster_matrix``, ``lern_vector`` and ``cern_vector`` are
+# not called here; they stay bound in this module because perfbench's traced
+# runs wrap them by these names.
 
 __all__ = [
     "EntryAccuracy",
@@ -129,18 +133,11 @@ def entry_noise_params(
     reports = report_matrix(
         net.b[members], net.gamma[members], state.s[members], x_f, members, partition, clamp
     )
-    params: list[TruncGaussParams | None] = []
-    for zeta in reports:
-        value = float(zeta[r])
-        if value == 0.0:
-            params.append(None)
-            continue
-        mech = spec.calibrate(zeta > 0.0)
-        params.append(
-            TruncGaussParams(
-                mu=value, sigma=mech.sigma, lower=mech.lower[r], upper=mech.upper[r]
-            )
-        )
+    params: list[TruncGaussParams | None] = [None] * len(reports)
+    for k, zeta in enumerate(reports):
+        if zeta[r] != 0.0:
+            mech = spec.calibrate(zeta > 0.0)
+            params[k] = TruncGaussParams(float(zeta[r]), mech.sigma, mech.lower[r], mech.upper[r])
     return params
 
 
@@ -170,14 +167,9 @@ def private_entry_moments(
     entry for the target cluster (``None`` for exact zeros).
     """
     denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
-    mean_sum = 0.0
-    var_sum = 0.0
-    for params in member_params:
-        if params is None:
-            continue
-        mean_k, var_k = trunc_gauss_moments(params)
-        mean_sum += mean_k
-        var_sum += var_k
+    moments = [trunc_gauss_moments(params) for params in member_params if params is not None]
+    mean_sum = sum((mean for mean, _ in moments), 0.0)
+    var_sum = sum((var for _, var in moments), 0.0)
     return mean_sum / denom, var_sum / denom**2
 
 
@@ -199,12 +191,8 @@ def monte_carlo_entry_stats(
     so this matches the distribution of the full pipeline's entry.
     """
     denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
-    totals = np.zeros(trials)
-    for params in member_params:
-        if params is None:
-            continue
-        totals += trunc_gauss_sample(params, rng, size=trials)
-    values = totals / denom
+    draws = (trunc_gauss_sample(p, rng, size=trials) for p in member_params if p is not None)
+    values = sum(draws, np.zeros(trials)) / denom
     return float(np.mean(values)), float(np.var(values, ddof=1))
 
 
@@ -231,7 +219,7 @@ def _private_reports(
 
 def rmse_sweep(
     net: TransmissionNetwork,
-    trajectory: list[EpidemicState],
+    trajectory: Sequence[EpidemicState],
     partition: Partition,
     eps_grid,
     trials: int,
@@ -253,7 +241,9 @@ def rmse_sweep(
     t)`` stream.  Neither the actors nor the shuffle can change a bit, so
     neither runs: assembly sorts each column before summing, and the
     shuffler streams are independent of the authorities'.  Infeasible
-    calibrations are reported per epsilon instead of aborting the sweep.
+    calibrations are reported per epsilon instead of aborting the sweep; if
+    every exact cluster entry is zero, the percentage error is undefined and
+    ``UndefinedRatioError`` is raised before any noise is drawn.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
@@ -263,15 +253,18 @@ def rmse_sweep(
         raise ConfigError(f"master seed must be non-negative, got {master_seed}")
     report = AccuracyReport(eps_grid=tuple(float(e) for e in eps_grid))
 
+    trajectory = Trajectory.from_states(trajectory)
     epochs = []  # (exact reports, cluster weights) per state
-    for state in trajectory:
-        x_f = floored_infections(state.x, floor)
-        reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
+    for s, x in zip(trajectory.s, trajectory.x):
+        x_f = floored_infections(x, floor)
+        reports = report_matrix(net.b, net.gamma, s, x_f, np.arange(net.n), partition, clamp)
         epochs.append((reports, cluster_weight_sums(net.gamma, x_f, partition)))
     exact = np.stack(
         [ClusterRnMatrix(assemble_clusters(r, w, partition)).values for r, w in epochs]
     )
     exact_scale = float(np.mean(np.abs(exact)))
+    if exact_scale == 0.0:
+        raise UndefinedRatioError("every exact cluster entry is zero; the percentage error is undefined")
 
     for eps in report.eps_grid:
         spec = PrivacySpec(epsilon0=eps, delta=delta, k=k, bounds=bounds)
@@ -319,7 +312,7 @@ def rmse_sweep(
             report.entries.append(
                 EntryAccuracy(
                     epoch=epoch,
-                    t=float(trajectory[epoch].t),
+                    t=float(trajectory.t[epoch]),
                     eps=eps,
                     q=q,
                     r=r,
@@ -333,9 +326,25 @@ def rmse_sweep(
     return report
 
 
+def _lerns(net, trajectory: Trajectory, floor, check: bool) -> np.ndarray:
+    """``lern_vector`` at every sample, ``(T, n)``, bit for bit.  A zero floored infection
+    raises ``UndefinedRatioError`` if ``check``, else gives a non-finite ratio to mask."""
+    x_f = floored_infections(trajectory.x, floor)
+    if check:
+        _check_positive_infection(x_f, np.arange(net.n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return trajectory.s * inflow(net.b, x_f) / (net.gamma * x_f)
+
+
+def _cerns(net, trajectory: Trajectory, lerns, partition, floor) -> np.ndarray:
+    """``cern_vector`` at every sample, ``(T, m)``, bit for bit, from the samples' lerns."""
+    weights = net.gamma * floored_infections(trajectory.x, floor)
+    return member_sums(weights * lerns, partition) / member_sums(weights, partition)
+
+
 def trichotomy_counts(
     net: TransmissionNetwork,
-    trajectory: list[EpidemicState],
+    trajectory: Sequence[EpidemicState],
     kind: ModelKind,
     floor: float | np.ndarray = 0.0,
     band: float = THRESHOLD_DEAD_BAND,
@@ -347,22 +356,13 @@ def trichotomy_counts(
     entity values on the raw trajectory, which is exactly the regime of the
     threshold statement.
     """
-    floor_arr = np.broadcast_to(np.asarray(floor, dtype=float), (net.n,))
-    agree = 0
-    total = 0
-    for state in trajectory:
-        x_f = np.maximum(state.x, floor_arr)
-        safe = x_f > 0.0
-        if not np.any(safe):
-            continue
-        gaps = np.full(net.n, np.nan)
-        inflow = net.b @ x_f
-        gaps[safe] = state.s[safe] * inflow[safe] / (net.gamma[safe] * x_f[safe]) - 1.0
-        xdot = derivative(net, state, kind)[1]
-        counted = (state.x > floor_arr) & safe & (np.abs(gaps) > band)
-        agree += int(np.sum(np.sign(xdot[counted]) == np.sign(gaps[counted])))
-        total += int(np.sum(counted))
-    return agree, total
+    if not trajectory:
+        return 0, 0
+    trajectory = Trajectory.from_states(trajectory)
+    gaps = _lerns(net, trajectory, floor, check=False) - 1.0
+    counted = (trajectory.x > np.asarray(floor, dtype=float)) & (np.abs(gaps) > band)
+    agree = np.sign(derivative(net, trajectory, kind)[1]) == np.sign(gaps)
+    return int(np.sum(agree & counted)), int(np.sum(counted))
 
 
 @dataclass(frozen=True)
@@ -389,18 +389,26 @@ class ThresholdReport:
     clusters: list[ClusterThreshold]
 
 
-def _first_crossing(times: np.ndarray, series: np.ndarray) -> float | None:
+def _thresholds(times, series, amounts, rates, valid, band):
+    """Per column of ``(T, k)`` reproduction numbers, infected amounts, their rates and
+    above-floor flags: (first crossing, peak time, agreement rate, samples)."""
     gaps = series - 1.0
     signs = np.sign(gaps)
-    for idx in range(1, signs.size):
-        if signs[idx] != 0.0 and signs[idx - 1] != 0.0 and signs[idx] != signs[idx - 1]:
-            return float(times[idx])
-    return None
+    crossed = np.zeros(signs.shape, dtype=bool)
+    crossed[1:] = (signs[1:] != 0.0) & (signs[:-1] != 0.0) & (signs[1:] != signs[:-1])
+    first = np.argmax(crossed, axis=0)
+    peaks = times[np.argmax(amounts, axis=0)]
+    counted = valid & (np.abs(gaps) > band)
+    samples = np.sum(counted, axis=0)
+    agreements = np.sum(counted & (np.sign(rates) == signs), axis=0)
+    for k, row in enumerate(first):
+        rate = float(agreements[k] / samples[k]) if samples[k] else None
+        yield float(times[row]) if crossed[row, k] else None, float(peaks[k]), rate, int(samples[k])
 
 
 def threshold_report(
     net: TransmissionNetwork,
-    trajectory: list[EpidemicState],
+    trajectory: Sequence[EpidemicState],
     partition: Partition,
     kind: ModelKind = ModelKind.SIR,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
@@ -414,49 +422,25 @@ def threshold_report(
     reproduction number minus one.  Agreement counts only samples outside
     the dead band whose infected fractions sit strictly above the floor
     (below it, the flooring used for reporting distorts the ratio and the
-    threshold statement's premise fails).
+    threshold statement's premise fails).  Whole-array expressions over the
+    trajectory's arrays, with the bits of ``lern_vector`` and ``cern_vector``.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
-    times = np.array([state.t for state in trajectory])
-    n, m = net.n, partition.m
+    trajectory = Trajectory.from_states(trajectory)
+    xs, xdots = trajectory.x, derivative(net, trajectory, kind)[1].copy()  # frees the (3, T, n) rest
+    lerns = _lerns(net, trajectory, floor, check=True)
+    cerns = _cerns(net, trajectory, lerns, partition, floor)
+    above = xs > np.asarray(floor, dtype=float)
+    members = [partition.members(q) for q in range(partition.m)]
 
-    lerns = np.stack([lern_vector(net, state, floor) for state in trajectory])
-    cerns = np.stack([cern_vector(net, state, partition, floor) for state in trajectory])
-    xs = np.stack([state.x for state in trajectory])
-    xdots = np.stack([derivative(net, state, kind)[1] for state in trajectory])
-    floor_arr = np.broadcast_to(np.asarray(floor, dtype=float), (n,))
+    def per_cluster(values, reduce):
+        return np.stack([reduce(values[:, ms], axis=1) for ms in members], axis=1)
 
-    nodes = []
-    for i in range(n):
-        valid = xs[:, i] > floor_arr[i]
-        counted = valid & (np.abs(lerns[:, i] - 1.0) > band)
-        agreements = np.sign(xdots[counted, i]) == np.sign(lerns[counted, i] - 1.0)
-        nodes.append(
-            NodeThreshold(
-                node=i,
-                first_crossing_t=_first_crossing(times, lerns[:, i]),
-                peak_t=float(times[int(np.argmax(xs[:, i]))]),
-                agreement_rate=float(np.mean(agreements)) if counted.any() else None,
-                samples=int(np.sum(counted)),
-            )
-        )
-
-    clusters = []
-    for q in range(m):
-        members = partition.members(q)
-        totals = xs[:, members].sum(axis=1)
-        total_dots = xdots[:, members].sum(axis=1)
-        valid = (xs[:, members] > floor_arr[members]).all(axis=1)
-        counted = valid & (np.abs(cerns[:, q] - 1.0) > band)
-        agreements = np.sign(total_dots[counted]) == np.sign(cerns[counted, q] - 1.0)
-        clusters.append(
-            ClusterThreshold(
-                cluster=q,
-                first_crossing_t=_first_crossing(times, cerns[:, q]),
-                peak_t=float(times[int(np.argmax(totals))]),
-                agreement_rate=float(np.mean(agreements)) if counted.any() else None,
-                samples=int(np.sum(counted)),
-            )
-        )
-    return ThresholdReport(nodes=nodes, clusters=clusters)
+    nodes = _thresholds(trajectory.t, lerns, xs, xdots, above, band)
+    clusters = _thresholds(trajectory.t, cerns, per_cluster(xs, np.sum),
+                           per_cluster(xdots, np.sum), per_cluster(above, np.all), band)
+    return ThresholdReport(
+        nodes=[NodeThreshold(i, *row) for i, row in enumerate(nodes)],
+        clusters=[ClusterThreshold(q, *row) for q, row in enumerate(clusters)],
+    )

@@ -84,7 +84,7 @@ class _Context:
         return integrate(self.net, self.state0, s.model_kind, s.dt, s.steps)
 
     def sampled(self, trajectory):
-        return [(epoch, trajectory[epoch]) for epoch in self.scenario.sampled_epochs()]
+        return trajectory[:: self.scenario.rn_interval]
 
 
 def _cmd_simulate(args) -> int:
@@ -97,27 +97,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _local_records(matrices):
-    for state_t, values in matrices:
-        n = values.shape[0]
-        for i in range(n):
-            for j in range(n):
-                yield (state_t, i, j, values[i, j], "effective")
+def _records(matrices, kind: str):
+    """One (t, row, column, value, kind) record per entry of each (t, matrix values) pair."""
+    for t, values in matrices:
+        for i, row in enumerate(values):
+            for j, value in enumerate(row):
+                yield t, i, j, value, kind
 
 
 def _cmd_compute_rn(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
     floor, clamp = scenario.infection_floor, scenario.privacy.clamp
-    trajectory = ctx.trajectory()
-    states = [state for _, state in ctx.sampled(trajectory)]
+    states = ctx.sampled(ctx.trajectory())
     r0 = network_reproduction(ctx.net)
     network_rows = [(state.t, network_reproduction(ctx.net, state)) for state in states]
     matrices = [
         (state.t, build_matrix(ctx.net, state, MatrixKind.EFFECTIVE, floor, clamp).values)
         for state in states
     ]
-    csvio.write_rn_csv(ctx.out / "local_rn.csv", _local_records(matrices))
+    csvio.write_rn_csv(ctx.out / "local_rn.csv", _records(matrices, "effective"))
     with open(ctx.out / "network_rn.csv", "w", newline="") as fh:
         fh.write("t,r0,rt\n")
         for t, rt in network_rows:
@@ -126,28 +125,15 @@ def _cmd_compute_rn(args) -> int:
     return 0
 
 
-def _cluster_records(matrices):
-    for state_t, matrix in matrices:
-        kind = "cluster_private" if matrix.private else "cluster"
-        for q in range(matrix.m):
-            for r in range(matrix.m):
-                yield (state_t, q, r, matrix.values[q, r], kind)
-
-
 def _cmd_cluster_rn(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
-    trajectory = ctx.trajectory()
+    floor, clamp = scenario.infection_floor, scenario.privacy.clamp
     matrices = [
-        (
-            state.t,
-            reproduction.cluster_matrix(
-                ctx.net, state, ctx.partition, scenario.infection_floor, scenario.privacy.clamp
-            ),
-        )
-        for _, state in ctx.sampled(trajectory)
+        (state.t, reproduction.cluster_matrix(ctx.net, state, ctx.partition, floor, clamp).values)
+        for state in ctx.sampled(ctx.trajectory())
     ]
-    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _cluster_records(matrices))
+    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(matrices, "cluster"))
     print(f"wrote {ctx.out / 'cluster_rn.csv'} ({len(matrices)} epochs)")
     return 0
 
@@ -156,11 +142,11 @@ def _cmd_pipeline(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
     spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
-    trajectory = ctx.trajectory()
+    sampled = ctx.sampled(ctx.trajectory())
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
         matrices = []
-        for epoch, state in ctx.sampled(trajectory):
+        for epoch, state in zip(scenario.sampled_epochs(), sampled):
             matrix = protocol.run_pipeline(
                 ctx.net,
                 state,
@@ -172,11 +158,12 @@ def _cmd_pipeline(args) -> int:
                 clamp=scenario.privacy.clamp,
                 trace=trace_fh,
             )
-            matrices.append((state.t, matrix))
+            matrices.append((state.t, matrix.values))
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _cluster_records(matrices))
+    kind = "cluster" if spec is None else "cluster_private"
+    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(matrices, kind))
     mode = "no privacy" if spec is None else f"epsilon0={spec.epsilon0:g}"
     print(f"pipeline ({mode}) wrote {ctx.out / 'cluster_rn.csv'} ({len(matrices)} epochs)")
     return 0
@@ -189,11 +176,9 @@ def _cmd_accuracy(args) -> int:
         eps_grid = [float(v) for v in args.eps.split(",") if v.strip()]
     except ValueError:
         raise RepronetError(f"invalid --eps grid: {args.eps!r}") from None
-    trajectory = ctx.trajectory()
-    sampled_states = [state for _, state in ctx.sampled(trajectory)]
     report = analysis.rmse_sweep(
         ctx.net,
-        sampled_states,
+        ctx.sampled(ctx.trajectory()),
         ctx.partition,
         eps_grid,
         trials=args.trials,

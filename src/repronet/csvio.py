@@ -13,6 +13,7 @@ is bit-exact.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .analysis import AccuracyReport, ThresholdReport
 from .exceptions import ConfigError
-from .model import EpidemicState
+from .model import EpidemicState, Trajectory
 
 __all__ = [
     "write_matrix_csv",
@@ -46,6 +47,35 @@ def _parse_float(cell: str, where: str) -> float:
         raise ConfigError(f"{where}: non-numeric cell {cell!r}") from None
 
 
+def _parse_int(cell: str, where: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ConfigError(f"{where}: non-integer cell {cell!r}") from None
+
+
+def _data_rows(path, kind: str, header: list[str] | None = None):
+    """``(where, cells)`` of each row after the header of the ``kind`` CSV at ``path``.
+
+    The header must equal ``header`` when one is given; every row must have as
+    many cells as the header.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{kind} file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None and header is None:
+            raise ConfigError(f"{path}: empty {kind} file")
+        if header is not None and first != header:
+            raise ConfigError(f"{path}: expected header {','.join(header)}, got {first}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(first):
+                raise ConfigError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(first)})")
+            yield f"{path}:{lineno}", row
+
+
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = matrix.shape[1]
@@ -57,78 +87,51 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"matrix file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty matrix file") from None
-        width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ConfigError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})")
-            rows.append([_parse_float(cell, f"{path}:{lineno}") for cell in row])
+    rows = [[_parse_float(cell, where) for cell in row] for where, row in _data_rows(path, "matrix")]
     if not rows:
         raise ConfigError(f"{path}: matrix file has a header but no rows")
     return np.array(rows)
 
 
 def write_states_csv(path, states: Sequence[EpidemicState]) -> None:
+    trajectory = Trajectory.from_states(states)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node", "s", "x", "r"])
-        for state in states:
-            for i in range(state.n):
-                writer.writerow(
-                    [_fmt(state.t), i, _fmt(state.s[i]), _fmt(state.x[i]), _fmt(state.r[i])]
-                )
+        for k, t in enumerate(trajectory.t.tolist()):
+            t = _fmt(t)
+            rows = zip(trajectory.s[k].tolist(), trajectory.x[k].tolist(), trajectory.r[k].tolist())
+            writer.writerows([t, i, _fmt(s), _fmt(x), _fmt(r)] for i, (s, x, r) in enumerate(rows))
 
 
-def read_states_csv(path) -> list[EpidemicState]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"state file not found: {path}")
-    groups: dict[float, dict[int, tuple[float, float, float]]] = {}
-    order: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "node", "s", "x", "r"]:
-            raise ConfigError(f"{path}: expected header t,node,s,x,r, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ConfigError(f"{path}:{lineno}: ragged row")
-            where = f"{path}:{lineno}"
-            t = _parse_float(row[0], where)
-            try:
-                node = int(row[1])
-            except ValueError:
-                raise ConfigError(f"{where}: non-integer node index {row[1]!r}") from None
-            fractions = tuple(_parse_float(cell, where) for cell in row[2:])
-            for value in fractions:
-                if not 0.0 <= value <= 1.0:
-                    raise ConfigError(f"{where}: fraction {value} outside [0, 1]")
-            if t not in groups:
-                groups[t] = {}
-                order.append(t)
-            groups[t][node] = fractions
-    if not groups:
+def read_states_csv(path) -> Trajectory:
+    """Read a state CSV; every time must list the same nodes 0..n-1, each once."""
+    times, nodes, values = [], [], []
+    for where, row in _data_rows(path, "state", ["t", "node", "s", "x", "r"]):
+        times.append(_parse_float(row[0], where))
+        nodes.append(_parse_int(row[1], where))
+        values.append([_parse_float(cell, where) for cell in row[2:]])
+        for value in values[-1]:
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{where}: fraction {value} outside [0, 1]")
+    if not times:
         raise ConfigError(f"{path}: state file contains no rows")
-    states = []
-    for t in order:
-        nodes = groups[t]
-        n = len(nodes)
-        if sorted(nodes) != list(range(n)):
-            raise ConfigError(f"{path}: nodes at t={t} must be exactly 0..{n - 1}")
-        s = np.array([nodes[i][0] for i in range(n)])
-        x = np.array([nodes[i][1] for i in range(n)])
-        r = np.array([nodes[i][2] for i in range(n)])
-        states.append(EpidemicState(t=t, s=s, x=x, r=r))
-    return states
+    # samples in the order their times first appear
+    distinct, first, inverse = np.unique(times, return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    t, sample = distinct[appearance], np.argsort(appearance)[inverse]
+    counts = np.bincount(sample)
+    n = int(counts[0])
+    if np.any(counts != n):
+        k = int(np.argmax(counts != n))
+        raise ConfigError(f"{path}: {counts[k]} nodes at t={t[k]}, but {n} at t={t[0]}")
+    order = np.lexsort((nodes, sample))  # valid rows sort to nodes 0..n-1 at every time
+    misplaced = np.array(nodes)[order] != np.tile(np.arange(n), len(t))
+    if np.any(misplaced):
+        k = sample[order][np.argmax(misplaced)]
+        raise ConfigError(f"{path}: nodes at t={t[k]} must be exactly 0..{n - 1}, each once")
+    fractions = np.array(values)[order].T.reshape(3, len(t), n)
+    return Trajectory(t, *fractions)
 
 
 def write_rn_csv(path, records: Iterable[tuple]) -> None:
@@ -141,29 +144,17 @@ def write_rn_csv(path, records: Iterable[tuple]) -> None:
 
 
 def read_rn_csv(path) -> list[tuple[float, int, int, float, str]]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"rn file not found: {path}")
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "i", "j", "value", "kind"]:
-            raise ConfigError(f"{path}: expected header t,i,j,value,kind, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ConfigError(f"{path}:{lineno}: ragged row")
-            where = f"{path}:{lineno}"
-            out.append(
-                (
-                    _parse_float(row[0], where),
-                    int(row[1]),
-                    int(row[2]),
-                    _parse_float(row[3], where),
-                    row[4],
-                )
-            )
-    return out
+    return [
+        (_parse_float(t, where), _parse_int(i, where), _parse_int(j, where), _parse_float(v, where), kind)
+        for where, (t, i, j, v, kind) in _data_rows(path, "rn", ["t", "i", "j", "value", "kind"])
+    ]
+
+
+def _cells(record, skip=()) -> list:
+    """A record's fields as CSV cells: floats in full precision, flags as 0/1."""
+    fields = [f for f in dataclasses.fields(record) if f.name not in skip]
+    values = [getattr(record, f.name) for f in fields]
+    return [int(v) if isinstance(v, bool) else _fmt(v) if isinstance(v, float) else v for v in values]
 
 
 def write_accuracy_csv(path, report: AccuracyReport) -> None:
@@ -172,47 +163,19 @@ def write_accuracy_csv(path, report: AccuracyReport) -> None:
         writer.writerow(
             ["epoch", "eps", "q", "r", "exact", "mean_private", "var_private", "rmse", "pct_error"]
         )
-        for e in report.entries:
-            writer.writerow(
-                [
-                    e.epoch,
-                    _fmt(e.eps),
-                    e.q,
-                    e.r,
-                    _fmt(e.exact),
-                    _fmt(e.mean_private),
-                    _fmt(e.var_private),
-                    _fmt(e.rmse),
-                    _fmt(e.pct_error),
-                ]
-            )
+        writer.writerows(_cells(e, skip=("t",)) for e in report.entries)
 
 
 def write_accuracy_summary_csv(path, report: AccuracyReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "feasible", "rmse", "pct_error", "trials", "message"])
-        for s in report.summaries:
-            writer.writerow(
-                [_fmt(s.eps), int(s.feasible), _fmt(s.rmse), _fmt(s.pct_error), s.trials, s.message]
-            )
+        writer.writerows(_cells(s) for s in report.summaries)
 
 
 def write_threshold_csvs(node_path, cluster_path, report: ThresholdReport) -> None:
-    def cell(value):
-        return "" if value is None else _fmt(value)
-
-    with open(node_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "first_crossing_t", "peak_t", "agreement_rate", "samples"])
-        for row in report.nodes:
-            writer.writerow(
-                [row.node, cell(row.first_crossing_t), _fmt(row.peak_t), cell(row.agreement_rate), row.samples]
-            )
-    with open(cluster_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "first_crossing_t", "peak_t", "agreement_rate", "samples"])
-        for row in report.clusters:
-            writer.writerow(
-                [row.cluster, cell(row.first_crossing_t), _fmt(row.peak_t), cell(row.agreement_rate), row.samples]
-            )
+    for path, rows, key in ((node_path, report.nodes, "node"), (cluster_path, report.clusters, "cluster")):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([key, "first_crossing_t", "peak_t", "agreement_rate", "samples"])
+            writer.writerows(["" if v is None else v for v in _cells(row)] for row in rows)

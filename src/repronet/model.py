@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,11 @@ __all__ = [
     "ModelKind",
     "TransmissionNetwork",
     "EpidemicState",
+    "Trajectory",
     "StabilityWarning",
+    "check_fractions",
     "derivative",
+    "inflow",
     "integrate",
 ]
 
@@ -53,8 +57,6 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise ConfigError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} contains non-finite values")
     return arr
 
 
@@ -101,13 +103,11 @@ class TransmissionNetwork:
         n = b.shape[0]
         if n < 1:
             raise ConfigError("network needs at least one entity")
-        if not np.all(np.isfinite(b)):
-            raise ConfigError("transmission matrix contains non-finite values")
-        if np.any(b < 0.0) or np.any(b > 1.0):
-            raise ConfigError("transmission rates must lie in [0, 1]")
+        if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails too
+            raise ConfigError("transmission rates must be finite and lie in [0, 1]")
         gamma = _as_vector(self.gamma, n, "gamma")
-        if np.any(gamma <= 0.0) or np.any(gamma > 1.0):
-            raise ConfigError("recovery rates must lie in (0, 1]")
+        if not np.all((gamma > 0.0) & (gamma <= 1.0)):
+            raise ConfigError("recovery rates must be finite and lie in (0, 1]")
         if not _strongly_connected(b):
             raise ConfigError("transmission graph is not strongly connected")
         b.setflags(write=False)
@@ -121,9 +121,28 @@ class TransmissionNetwork:
         return self.b.shape[0]
 
 
+def check_fractions(s: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
+    """Validate fractions of one shape, ``(n,)`` or ``(T, n)``: each finite and
+    in [0, 1], and ``s + x + r`` within 1e-9 of one for every entity."""
+    # blocks of ~4k entries (s[:1] is one row, or one entry) keep temporaries small
+    step = max(1, (1 << 12) // max(1, s[:1].size))
+    for k in range(0, len(s), step):
+        block = np.array((s[k : k + step], x[k : k + step], r[k : k + step]))
+        if not (block.min(initial=0.0) >= 0.0 and block.max(initial=1.0) <= 1.0):  # NaN fails too
+            name = next(v for v, arr in zip("sxr", block) if not (arr.min() >= 0.0 and arr.max() <= 1.0))
+            raise ConfigError(f"state vector {name} has non-finite entries or entries outside [0, 1]")
+        drift = np.abs(block.sum(axis=0) - 1.0).max(initial=0.0)
+        if drift > 1e-9:
+            raise ConfigError(f"state fractions must sum to 1 (max drift {drift:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class EpidemicState:
-    """Per-entity susceptible/infected/recovered fractions at one time."""
+    """Per-entity susceptible/infected/recovered fractions at one time.
+
+    ``r`` defaults to zeros; the read-only vectors pass ``check_fractions``.
+    A ``Trajectory`` row indexed on its own is one of these.
+    """
 
     t: float
     s: np.ndarray
@@ -133,44 +152,92 @@ class EpidemicState:
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
         n = s.shape[0]
-        x = _as_vector(self.x, n, "x")
-        s = _as_vector(s, n, "s")
+        x, s = _as_vector(self.x, n, "x"), _as_vector(s, n, "s")
         r = np.zeros(n) if self.r is None else _as_vector(self.r, n, "r")
+        check_fractions(s, x, r)
         for name, vec in (("s", s), ("x", x), ("r", r)):
-            if np.any(vec < 0.0) or np.any(vec > 1.0):
-                raise ConfigError(f"state vector {name} has entries outside [0, 1]")
-        total = s + x + r
-        if np.any(np.abs(total - 1.0) > 1e-9):
-            worst = float(np.max(np.abs(total - 1.0)))
-            raise ConfigError(f"state fractions must sum to 1 (max drift {worst:.3e})")
-        for vec in (s, x, r):
             vec.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "r", r)
+            object.__setattr__(self, name, vec)
 
     @property
     def n(self) -> int:
         return self.s.shape[0]
 
 
+class Trajectory(Sequence):
+    """States at T times as read-only arrays ``t`` (T,) and ``s, x, r`` (T, n).
+
+    Validated once, by ``check_fractions``.  An integer index builds that
+    row's ``EpidemicState`` (or returns ``head`` for row 0, when given) and a
+    slice is a ``Trajectory`` of copies of those rows, so that sampling a long
+    trajectory lets it be freed.
+    """
+
+    def __init__(self, t, s, x, r, *, head: EpidemicState | None = None):
+        t, s, x, r = (np.asarray(a, dtype=float) for a in (t, s, x, r))
+        if t.ndim != 1 or s.ndim != 2 or len(s) != len(t) or not s.shape == x.shape == r.shape:
+            raise ConfigError(f"trajectory shapes {t.shape}, {s.shape}, {x.shape}, {r.shape}")
+        check_fractions(s, x, r)
+        for arr in (t, s, x, r):
+            arr.setflags(write=False)
+        self.t, self.s, self.x, self.r, self._head = t, s, x, r, head
+
+    @classmethod
+    def from_states(cls, states: Sequence[EpidemicState]) -> "Trajectory":
+        """Stack a non-empty sequence of states; a ``Trajectory`` is returned as is."""
+        if isinstance(states, Trajectory):
+            return states
+        states = list(states)
+        if not states or len({state.n for state in states}) > 1:
+            raise ConfigError("a trajectory needs one or more states of one size")
+        s, x, r = (np.stack([getattr(state, name) for state in states]) for name in "sxr")
+        return cls([state.t for state in states], s, x, r, head=states[0])
+
+    @property
+    def n(self) -> int:
+        return self.s.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        if isinstance(key, slice):
+            head = self._head if rows and rows[0] == 0 else None
+            return Trajectory(*(a[key].copy() for a in (self.t, self.s, self.x, self.r)), head=head)
+        if rows == 0 and self._head is not None:
+            return self._head
+        return EpidemicState(t=float(self.t[rows]), s=self.s[rows], x=self.x[rows], r=self.r[rows])
+
+
+def inflow(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``b @ row`` for each row of ``(T, n)`` fractions: one matrix-vector product per row,
+    since a batched ``x @ b.T`` rounds differently from a row on its own."""
+    out = np.empty(x.shape)
+    for k, row in enumerate(x):
+        out[k] = b @ row
+    return out
+
+
 def _rhs(b: np.ndarray, gamma: np.ndarray, s: np.ndarray, x: np.ndarray, kind: ModelKind):
-    """Raw right-hand side on plain arrays (used by the RK4 stages)."""
-    infection = s * (b @ x)
-    recovery = gamma * x
+    """Right-hand side (s', x', r') stacked on a new axis 0, for ``(n,)`` or ``(T, n)`` arrays."""
+    out = np.empty((3,) + x.shape)
+    infection = s * (b @ x if x.ndim == 1 else inflow(b, x))
     if kind is ModelKind.SIS:
-        xdot = infection - recovery
-        return -xdot, xdot, np.zeros_like(xdot)
-    sdot = -infection
-    rdot = recovery
+        np.subtract(infection, gamma * x, out=out[1])
+        np.negative(out[1], out=out[0])
+        out[2] = 0.0
+        return out
+    np.negative(infection, out=out[0])
+    np.multiply(gamma, x, out=out[2])
     # Build x' from the other two components so the conservation identity
     # x' + (s' + r') == 0 holds exactly in floating point.
-    xdot = -(sdot + rdot)
-    return sdot, xdot, rdot
+    np.negative(out[0] + out[2], out=out[1])
+    return out
 
 
-def derivative(net: TransmissionNetwork, state: EpidemicState, kind: ModelKind):
-    """Time derivative (s', x', r') of the model at `state`.
+def derivative(net: TransmissionNetwork, state: EpidemicState | Trajectory, kind: ModelKind):
+    """Time derivative (s', x', r') of the model at `state`, or at every row of a trajectory.
 
     For SIS the pair satisfies ``s' + x' == 0`` exactly; for SIR the triple
     satisfies ``x' + (s' + r') == 0`` exactly (sum in that association).
@@ -186,14 +253,15 @@ def integrate(
     kind: ModelKind,
     dt: float,
     steps: int,
-) -> list[EpidemicState]:
-    """Fixed-step RK4 trajectory of length ``steps + 1`` starting at state0.
+) -> Trajectory:
+    """Fixed-step RK4 ``Trajectory`` of ``steps + 1`` states; its index 0 is ``state0``.
 
-    Emitted states are cleaned up only for round-off: negative components no
-    larger than 1e-9 in magnitude are clamped to zero and the triple is
-    renormalized to sum one whenever the drift exceeds 1e-12.  Non-finite
-    values or negative components beyond round-off abort the run; the caller
-    should reduce ``dt``.
+    Each step is written into the trajectory's arrays in place, and time
+    advances by repeated ``t += dt``.  States are cleaned up only for
+    round-off: negative components no larger than 1e-9 in magnitude are
+    clamped to zero and the triple is renormalized to sum one whenever the
+    drift exceeds 1e-12.  Non-finite values or negative components beyond
+    round-off abort the run; the caller should reduce ``dt``.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
@@ -212,34 +280,34 @@ def integrate(
         )
 
     b, gamma = net.b, net.gamma
-    out = [state0]
-    s, x, r = state0.s.copy(), state0.x.copy(), state0.r.copy()
-    t = float(state0.t)
-    for _ in range(steps):
-        k1 = _rhs(b, gamma, s, x, kind)
-        k2 = _rhs(b, gamma, s + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], kind)
-        k3 = _rhs(b, gamma, s + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], kind)
-        k4 = _rhs(b, gamma, s + dt * k3[0], x + dt * k3[1], kind)
-        s = s + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        x = x + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        r = r + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    times = np.empty(steps + 1)
+    fractions = np.empty((steps + 1, 3, net.n))  # step k's (s, x, r), contiguous
+    times[0] = t = float(state0.t)
+    prev = fractions[0]
+    prev[:] = state0.s, state0.x, state0.r
+    for k in range(1, steps + 1):
+        # elementwise on stacked (s, x, r): the bits of one row at a time
+        k1 = _rhs(b, gamma, prev[0], prev[1], kind)
+        y = prev + 0.5 * dt * k1
+        k2 = _rhs(b, gamma, y[0], y[1], kind)
+        y = prev + 0.5 * dt * k2
+        k3 = _rhs(b, gamma, y[0], y[1], kind)
+        y = prev + dt * k3
+        k4 = _rhs(b, gamma, y[0], y[1], kind)
+        prev = np.add(prev, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=fractions[k])
         t += dt
+        times[k] = t
 
-        stacked = np.stack((s, x, r))
-        if not np.all(np.isfinite(stacked)):
-            raise IntegrationError(
-                f"non-finite state at t={t}; reduce dt (currently {dt})"
-            )
-        if np.any(stacked < -_NEGATIVE_TOL) or np.any(stacked > 1.0 + _NEGATIVE_TOL):
-            raise IntegrationError(
-                f"state left [0, 1] beyond round-off at t={t}; reduce dt"
-            )
-        stacked[stacked < 0.0] = 0.0
-        stacked[stacked > 1.0] = 1.0
-        total = stacked.sum(axis=0)
-        drift = np.abs(total - 1.0)
-        if np.any(drift > _DRIFT_TOL):
-            stacked = stacked / total
-        s, x, r = stacked[0], stacked[1], stacked[2]
-        out.append(EpidemicState(t=t, s=s, x=x, r=r))
-    return out
+        low, high = prev.min(), prev.max()  # a NaN fails both tests
+        if not (low >= -_NEGATIVE_TOL and high <= 1.0 + _NEGATIVE_TOL):
+            if not np.isfinite(prev).all():
+                raise IntegrationError(f"non-finite state at t={t}; reduce dt (currently {dt})")
+            raise IntegrationError(f"state left [0, 1] beyond round-off at t={t}; reduce dt")
+        if low < 0.0:
+            prev[prev < 0.0] = 0.0
+        if high > 1.0:
+            prev[prev > 1.0] = 1.0
+        total = prev.sum(axis=0)
+        if np.abs(total - 1.0).max() > _DRIFT_TOL:
+            prev /= total
+    return Trajectory(times, *fractions.transpose(1, 0, 2), head=state0)

@@ -108,14 +108,6 @@ class TruncGaussParams:
     def beta(self) -> float:
         return (self.upper - self.mu) / self.sigma
 
-    def pdf(self, z):
-        """Density; zero outside (lower, upper]."""
-        z = np.asarray(z, dtype=float)
-        mass = ndtr(self.beta) - ndtr(self.alpha)
-        inside = (z > self.lower) & (z <= self.upper)
-        values = _std_pdf((z - self.mu) / self.sigma) / (self.sigma * mass)
-        return np.where(inside, values, 0.0)
-
 
 def _sample_box_truncated(
     mu: np.ndarray,

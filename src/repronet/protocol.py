@@ -341,20 +341,11 @@ class DataCenter:
         )
 
 
-class _Trace:
-    def __init__(self, sink: IO[str] | None):
-        self.sink = sink
-
-    def record(self, step: int, sender: str, receiver: str, message) -> None:
-        if self.sink is None:
-            return
-        line = {
-            "step": step,
-            "from": sender,
-            "to": receiver,
-            "payload_digest": payload_digest(message),
-        }
-        self.sink.write(json.dumps(line) + "\n")
+def _record(sink: IO[str] | None, step: int, sender: str, receiver: str, message) -> None:
+    """Write one message's audit line to ``sink``, if there is one."""
+    if sink is not None:
+        line = {"step": step, "from": sender, "to": receiver, "payload_digest": payload_digest(message)}
+        sink.write(json.dumps(line) + "\n")
 
 
 def run_pipeline(
@@ -381,7 +372,6 @@ def run_pipeline(
     if state.n != net.n or partition.n != net.n:
         raise ConfigError("network, state, and partition sizes must agree")
     private = spec is not None
-    trace_ = _Trace(trace)
 
     authorities = [
         LocalAuthority(
@@ -415,12 +405,12 @@ def run_pipeline(
         public=PublicData(gamma=net.gamma, s=state.s, x=state.x),
     )
     for q in range(partition.m):
-        trace_.record(1, "central_authority", f"cluster_aggregator:{q}", request)
+        _record(trace, 1, "central_authority", f"cluster_aggregator:{q}", request)
         aggregators[q].observe(request)
 
     reports: dict[int, Report] = {}
     for i in ordering(net.n):
-        trace_.record(1, "central_authority", f"local_authority:{i}", request)
+        _record(trace, 1, "central_authority", f"local_authority:{i}", request)
         reports[i] = authorities[i].handle(request)
 
     missing = sorted(set(range(net.n)) - set(reports))
@@ -429,19 +419,19 @@ def run_pipeline(
 
     for i in ordering(net.n):
         q = int(partition.assignment[i])
-        trace_.record(5, f"local_authority:{i}", f"shuffler:{q}", reports[i])
+        _record(trace, 5, f"local_authority:{i}", f"shuffler:{q}", reports[i])
         shufflers[q].receive(reports[i])
 
     cluster_vectors: dict[int, ClusterVector] = {}
     for q in ordering(partition.m):
         batch = shufflers[q].flush()
-        trace_.record(5, f"shuffler:{q}", f"cluster_aggregator:{q}", batch)
+        _record(trace, 5, f"shuffler:{q}", f"cluster_aggregator:{q}", batch)
         cluster_vectors[q] = aggregators[q].handle(batch)
 
     for q in ordering(partition.m):
-        trace_.record(7, f"cluster_aggregator:{q}", "data_center", cluster_vectors[q])
+        _record(trace, 7, f"cluster_aggregator:{q}", "data_center", cluster_vectors[q])
         center.receive(cluster_vectors[q])
 
     final = center.flush()
-    trace_.record(7, "data_center", "central_authority", final)
+    _record(trace, 7, "data_center", "central_authority", final)
     return final.matrix

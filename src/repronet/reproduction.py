@@ -52,6 +52,7 @@ __all__ = [
     "report_matrix",
     "assemble",
     "assemble_clusters",
+    "member_sums",
     "cluster_weight_sums",
     "lern",
     "lern_vector",
@@ -205,10 +206,11 @@ def floored_infections(x: np.ndarray, floor: float | np.ndarray = DEFAULT_INFECT
 
 
 def _check_positive_infection(x_f: np.ndarray, rows: np.ndarray) -> None:
-    bad = rows[x_f[rows] <= 0.0]
-    if bad.size:
+    """Reject a zero among columns ``rows`` of ``x_f``, ``(n,)`` or ``(T, n)``; the first one is named."""
+    bad = x_f[..., rows] <= 0.0
+    if bad.any():
         raise UndefinedRatioError(
-            f"x[{bad[0]}] is zero with flooring disabled; effective RN undefined"
+            f"x[{rows[np.argwhere(bad)[0, -1]]}] is zero with flooring disabled; effective RN undefined"
         )
 
 
@@ -254,19 +256,25 @@ def report_matrix(
     """Pre-aggregated reports of entities ``rows``, shape ``(len(rows), m)``.
 
     Entry (k, r) is ``gamma_i * x_i * sum_{j in cluster r} effective(i, j)``
-    for ``i = rows[k]``.  Each cluster sum is a running sum over its members
-    in ascending order (``partition.member_slots``; the padding slot reads a
-    zero column), so an authority's single-row call gives the same bits as
-    its row of the full matrix.
+    for ``i = rows[k]``.  The cluster sums are ``member_sums``, so an
+    authority's single-row call gives the same bits as its row of the full
+    matrix.
     """
     effective = effective_rows(b_rows, gamma_rows, s_rows, x_f, rows, clamp)
-    padded = np.concatenate([effective, np.zeros((effective.shape[0], 1))], axis=1)
+    return (gamma_rows * x_f[rows])[:, None] * member_sums(effective, partition)
+
+
+def member_sums(values: np.ndarray, partition: Partition) -> np.ndarray:
+    """Each row's sums over each cluster's members, ``(rows, n)`` to ``(rows, m)``: running
+    sums in ascending member order (``partition.member_slots``, whose padding slot reads a
+    zero column), the order in which ``np.bincount`` adds one row's weights."""
+    padded = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
     slots = partition.member_slots
     sums = np.empty((len(padded), partition.m))
     step = max(1, _GATHER_BLOCK // slots.size)
     for k in range(0, len(padded), step):
         sums[k : k + step] = np.add.accumulate(padded[k : k + step, slots], axis=2)[..., -1]
-    return (gamma_rows * x_f[rows])[:, None] * sums
+    return sums
 
 
 def assemble(reports: np.ndarray, denom: float) -> np.ndarray:

@@ -2,23 +2,48 @@
 
 Everything here is written as plain loops straight from the defining
 equations, deliberately sharing no code with the package's vectorized
-kernels.  The one exception is ``rmse_sweep_reference``, which loops over
-the package's own per-trial pipeline: it is the reference path the batched
-``analysis.rmse_sweep`` must reproduce.
+kernels.  The exceptions are the package's earlier loops, kept as the
+references their array versions must reproduce bit for bit:
+``rmse_sweep_reference`` (the per-trial pipeline), ``integrate_reference``,
+``trichotomy_counts_reference`` and ``threshold_report_reference`` (one
+validated state per step), with the per-state ``_rhs`` and ``derivative``
+they called.
 """
 
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate as scipy_integrate
 from scipy.special import ndtr, ndtri
 
-from repronet.analysis import AccuracyReport, EntryAccuracy, EpsilonSummary
-from repronet.exceptions import CalibrationInfeasibleError, ConfigError
-from repronet.model import EpidemicState, TransmissionNetwork
+from repronet.analysis import (
+    THRESHOLD_DEAD_BAND,
+    AccuracyReport,
+    ClusterThreshold,
+    EntryAccuracy,
+    EpsilonSummary,
+    NodeThreshold,
+    ThresholdReport,
+)
+from repronet.exceptions import CalibrationInfeasibleError, ConfigError, IntegrationError
+from repronet.model import (
+    _DRIFT_TOL,
+    _NEGATIVE_TOL,
+    EpidemicState,
+    ModelKind,
+    StabilityWarning,
+    TransmissionNetwork,
+)
 from repronet.privacy import PrivacySpec
 from repronet.protocol import run_pipeline
-from repronet.reproduction import DEFAULT_INFECTION_FLOOR, Partition, cluster_matrix
+from repronet.reproduction import (
+    DEFAULT_INFECTION_FLOOR,
+    Partition,
+    cern_vector,
+    cluster_matrix,
+    lern_vector,
+)
 
 
 def strongly_connected(b):
@@ -303,3 +328,188 @@ def sample_box_truncated_one_generator(mu, sigma, lower, upper, rng):
     # Keep the support half-open despite round-off at the edges.
     open_lower = np.nextafter(lower, upper)
     return np.minimum(np.maximum(out, open_lower), upper)
+
+
+def _rhs(b: np.ndarray, gamma: np.ndarray, s: np.ndarray, x: np.ndarray, kind: ModelKind):
+    """The package's right-hand side on one state's vectors, as three arrays.
+
+    Kept unchanged, with ``derivative`` below, for the references that follow.
+    """
+    infection = s * (b @ x)
+    recovery = gamma * x
+    if kind is ModelKind.SIS:
+        xdot = infection - recovery
+        return -xdot, xdot, np.zeros_like(xdot)
+    sdot = -infection
+    rdot = recovery
+    # Build x' from the other two components so the conservation identity
+    # x' + (s' + r') == 0 holds exactly in floating point.
+    xdot = -(sdot + rdot)
+    return sdot, xdot, rdot
+
+
+def derivative(net: TransmissionNetwork, state: EpidemicState, kind: ModelKind):
+    """``model.derivative`` on one state, through ``_rhs`` above."""
+    if state.n != net.n:
+        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
+    return _rhs(net.b, net.gamma, state.s, state.x, kind)
+
+
+def integrate_reference(
+    net: TransmissionNetwork,
+    state0: EpidemicState,
+    kind: ModelKind,
+    dt: float,
+    steps: int,
+) -> list[EpidemicState]:
+    """``model.integrate`` as a list of validated states, one built per step.
+
+    The integrator before it wrote into trajectory arrays, kept unchanged as
+    the reference that the array trajectory must match bit for bit.
+    """
+    if dt <= 0.0:
+        raise ConfigError("dt must be positive")
+    if steps < 0:
+        raise ConfigError("steps must be non-negative")
+    if state0.n != net.n:
+        raise ConfigError(f"state has {state0.n} entities, network has {net.n}")
+
+    max_inflow = float(np.max(net.b.sum(axis=1))) if net.n else 0.0
+    if max_inflow > 0.0 and dt > 0.1 / max_inflow:
+        warnings.warn(
+            f"dt={dt} is large for a max transmission row sum of {max_inflow:.3g}; "
+            "the fixed-step integration may be inaccurate",
+            StabilityWarning,
+            stacklevel=2,
+        )
+
+    b, gamma = net.b, net.gamma
+    out = [state0]
+    s, x, r = state0.s.copy(), state0.x.copy(), state0.r.copy()
+    t = float(state0.t)
+    for _ in range(steps):
+        k1 = _rhs(b, gamma, s, x, kind)
+        k2 = _rhs(b, gamma, s + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], kind)
+        k3 = _rhs(b, gamma, s + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], kind)
+        k4 = _rhs(b, gamma, s + dt * k3[0], x + dt * k3[1], kind)
+        s = s + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        x = x + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        r = r + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        t += dt
+
+        stacked = np.stack((s, x, r))
+        if not np.all(np.isfinite(stacked)):
+            raise IntegrationError(
+                f"non-finite state at t={t}; reduce dt (currently {dt})"
+            )
+        if np.any(stacked < -_NEGATIVE_TOL) or np.any(stacked > 1.0 + _NEGATIVE_TOL):
+            raise IntegrationError(
+                f"state left [0, 1] beyond round-off at t={t}; reduce dt"
+            )
+        stacked[stacked < 0.0] = 0.0
+        stacked[stacked > 1.0] = 1.0
+        total = stacked.sum(axis=0)
+        drift = np.abs(total - 1.0)
+        if np.any(drift > _DRIFT_TOL):
+            stacked = stacked / total
+        s, x, r = stacked[0], stacked[1], stacked[2]
+        out.append(EpidemicState(t=t, s=s, x=x, r=r))
+    return out
+
+
+def trichotomy_counts_reference(
+    net: TransmissionNetwork,
+    trajectory: list[EpidemicState],
+    kind: ModelKind,
+    floor: float | np.ndarray = 0.0,
+    band: float = THRESHOLD_DEAD_BAND,
+) -> tuple[int, int]:
+    """``analysis.trichotomy_counts`` as one pass per state.
+
+    The count before it became one expression over trajectory arrays, kept
+    unchanged as its bit-for-bit reference.
+    """
+    floor_arr = np.broadcast_to(np.asarray(floor, dtype=float), (net.n,))
+    agree = 0
+    total = 0
+    for state in trajectory:
+        x_f = np.maximum(state.x, floor_arr)
+        safe = x_f > 0.0
+        if not np.any(safe):
+            continue
+        gaps = np.full(net.n, np.nan)
+        inflow = net.b @ x_f
+        gaps[safe] = state.s[safe] * inflow[safe] / (net.gamma[safe] * x_f[safe]) - 1.0
+        xdot = derivative(net, state, kind)[1]
+        counted = (state.x > floor_arr) & safe & (np.abs(gaps) > band)
+        agree += int(np.sum(np.sign(xdot[counted]) == np.sign(gaps[counted])))
+        total += int(np.sum(counted))
+    return agree, total
+
+
+def _first_crossing(times: np.ndarray, series: np.ndarray) -> float | None:
+    gaps = series - 1.0
+    signs = np.sign(gaps)
+    for idx in range(1, signs.size):
+        if signs[idx] != 0.0 and signs[idx - 1] != 0.0 and signs[idx] != signs[idx - 1]:
+            return float(times[idx])
+    return None
+
+
+def threshold_report_reference(
+    net: TransmissionNetwork,
+    trajectory: list[EpidemicState],
+    partition: Partition,
+    kind: ModelKind = ModelKind.SIR,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+    band: float = THRESHOLD_DEAD_BAND,
+) -> ThresholdReport:
+    """``analysis.threshold_report`` as stacked per-state vectors and per-column loops.
+
+    The report before it became whole-array expressions over trajectory
+    arrays, kept unchanged as its bit-for-bit reference.
+    """
+    if not trajectory:
+        raise ConfigError("trajectory must contain at least one state")
+    times = np.array([state.t for state in trajectory])
+    n, m = net.n, partition.m
+
+    lerns = np.stack([lern_vector(net, state, floor) for state in trajectory])
+    cerns = np.stack([cern_vector(net, state, partition, floor) for state in trajectory])
+    xs = np.stack([state.x for state in trajectory])
+    xdots = np.stack([derivative(net, state, kind)[1] for state in trajectory])
+    floor_arr = np.broadcast_to(np.asarray(floor, dtype=float), (n,))
+
+    nodes = []
+    for i in range(n):
+        valid = xs[:, i] > floor_arr[i]
+        counted = valid & (np.abs(lerns[:, i] - 1.0) > band)
+        agreements = np.sign(xdots[counted, i]) == np.sign(lerns[counted, i] - 1.0)
+        nodes.append(
+            NodeThreshold(
+                node=i,
+                first_crossing_t=_first_crossing(times, lerns[:, i]),
+                peak_t=float(times[int(np.argmax(xs[:, i]))]),
+                agreement_rate=float(np.mean(agreements)) if counted.any() else None,
+                samples=int(np.sum(counted)),
+            )
+        )
+
+    clusters = []
+    for q in range(m):
+        members = partition.members(q)
+        totals = xs[:, members].sum(axis=1)
+        total_dots = xdots[:, members].sum(axis=1)
+        valid = (xs[:, members] > floor_arr[members]).all(axis=1)
+        counted = valid & (np.abs(cerns[:, q] - 1.0) > band)
+        agreements = np.sign(total_dots[counted]) == np.sign(cerns[counted, q] - 1.0)
+        clusters.append(
+            ClusterThreshold(
+                cluster=q,
+                first_crossing_t=_first_crossing(times, cerns[:, q]),
+                peak_t=float(times[int(np.argmax(totals))]),
+                agreement_rate=float(np.mean(agreements)) if counted.any() else None,
+                samples=int(np.sum(counted)),
+            )
+        )
+    return ThresholdReport(nodes=nodes, clusters=clusters)

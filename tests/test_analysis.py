@@ -16,6 +16,7 @@ from repronet.analysis import (
     threshold_report,
     trichotomy_counts,
 )
+from repronet.exceptions import RepronetError, UndefinedRatioError
 from repronet.privacy import TruncGaussParams
 from repronet.seeding import StreamRole, stream
 
@@ -178,6 +179,97 @@ def test_rmse_sweep_matches_per_trial_pipeline_property(seed, sizes, trials, k):
     assert [_bits(row) for row in batched.entries] == [_bits(row) for row in reference.entries]
     assert not batched.summary_for(1e-12).feasible
     assert not [row for row in batched.entries if row.eps == 1e-12]
+
+
+def test_rmse_sweep_all_zero_exact_matrix_raises(monkeypatch):
+    net = rn.TransmissionNetwork(b=[[0.3]], gamma=[0.1])
+    state = rn.EpidemicState(t=0.0, s=np.array([0.0]), x=np.array([0.4]), r=np.array([0.6]))
+
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr("repronet.analysis.bounded_gaussian_randomize", no_noise)
+    with pytest.raises(UndefinedRatioError, match="every exact cluster entry is zero"):
+        rmse_sweep(net, [state], rn.Partition.whole(1), [1.0], trials=3, master_seed=0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of the package error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except RepronetError as exc:
+        return type(exc), str(exc)
+
+
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+def _state_bits(states):
+    """Every state's time and fractions, floats as their exact hex forms."""
+    return [_hex([s.t, *s.s, *s.x, *s.r]) for s in states]
+
+
+def _report_bits(report):
+    if not isinstance(report, rn.ThresholdReport):
+        return report
+    return [_bits(row) for row in report.nodes + report.clusters]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(list(rn.ModelKind)),
+    floor=st.sampled_from(["zero", "tiny", "vector"]),
+    steps=st.integers(0, 120),
+    dt=st.sampled_from([0.05, 0.5, 2.0, 50.0]),  # 2: round-off clamps; 50: leaves [0, 1]
+    zero_node=st.booleans(),  # x = 0 at one node of the initial state
+    window=st.tuples(
+        st.none() | st.integers(-20, 20), st.none() | st.integers(-20, 130), st.integers(1, 9)
+    ),
+)
+@example(seed=3, n=4, kind=rn.ModelKind.SIR, floor="zero", steps=50, dt=50.0, zero_node=False,
+         window=(None, None, 1))
+@example(seed=5, n=12, kind=rn.ModelKind.SIS, floor="vector", steps=60, dt=0.5, zero_node=True,
+         window=(1, None, 4))
+@example(seed=22, n=1, kind=rn.ModelKind.SIS, floor="zero", steps=120, dt=2.0, zero_node=False,
+         window=(3, -5, 2))  # three steps clamp round-off above 1
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_array_trajectory_matches_per_state_loops_property(
+    seed, n, kind, floor, steps, dt, zero_node, window
+):
+    gen = np.random.default_rng(seed)
+    net = make_network(gen, n)
+    state = make_state(gen, n, with_r=kind is rn.ModelKind.SIR)
+    if zero_node:
+        i = gen.integers(n)
+        s, x = state.s.copy(), state.x.copy()
+        s[i], x[i] = s[i] + x[i], 0.0
+        state = rn.EpidemicState(t=0.0, s=s, x=x, r=state.r)
+    floor = {"zero": 0.0, "tiny": 1e-9, "vector": gen.uniform(0.0, 0.1, n)}[floor]
+
+    new = _outcome(rn.integrate, net, state, kind, dt, steps)
+    old = _outcome(oracles.integrate_reference, net, state, kind, dt, steps)
+    if not isinstance(old, list):  # the same error, raised at the same step
+        assert new == old
+        return
+    assert new[0] is state
+    partition = rn.Partition.from_blocks(np.array_split(np.arange(n), min(n, 3)))
+    for cut in (slice(None), slice(*window)):
+        assert isinstance(new[cut], rn.Trajectory)
+        assert _state_bits(new[cut]) == _state_bits(old[cut])
+        rates = np.moveaxis(rn.derivative(net, new[cut], kind), 1, 0)  # (T, 3, n)
+        old_rates = [np.stack(oracles.derivative(net, st, kind)) for st in old[cut]]
+        assert [_hex(row) for row in rates] == [_hex(row) for row in old_rates]
+        assert trichotomy_counts(net, new[cut], kind, floor) == (
+            oracles.trichotomy_counts_reference(net, old[cut], kind, floor)
+        )
+        assert _report_bits(_outcome(threshold_report, net, new[cut], partition, kind, floor)) == (
+            _report_bits(
+                _outcome(oracles.threshold_report_reference, net, old[cut], partition, kind, floor)
+            )
+        )
 
 
 def test_trichotomy_counts_on_trajectory(rng):

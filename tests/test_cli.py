@@ -238,3 +238,29 @@ output_dir: "%s"
         % (tmp_path / "out").as_posix()
     )
     assert main(["pipeline", "--config", str(config)]) == 4
+
+
+def test_accuracy_all_zero_exact_matrix_exit_code(tmp_path, capsys):
+    config = tmp_path / "zero.yaml"
+    config.write_text(
+        """
+network:
+  matrix: [[0.3]]
+  gamma: [0.1]
+initial:
+  s: [0.0]
+  x: 0.4
+  r: 0.6
+model: sir
+dt: 0.1
+steps: 4
+rn_interval: 2
+privacy:
+  enabled: true
+  epsilon0: 1.0
+output_dir: "%s"
+"""
+        % (tmp_path / "out").as_posix()
+    )
+    assert main(["accuracy", "--config", str(config), "--trials", "3"]) == 3
+    assert "every exact cluster entry is zero" in capsys.readouterr().err

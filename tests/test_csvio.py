@@ -66,6 +66,14 @@ def test_states_errors(tmp_path):
     path.write_text("t,node,s,x,r\n0.0,1,0.9,0.1,0.0\n")
     with pytest.raises(ConfigError, match="nodes"):
         csvio.read_states_csv(path)
+    path.write_text("t,node,s,x,r\n0.0,0,0.9,0.1,0.0\n0.0,0,0.8,0.2,0.0\n")
+    with pytest.raises(ConfigError, match="nodes at t=0.0 must be exactly 0..1, each once"):
+        csvio.read_states_csv(path)
+    path.write_text(
+        "t,node,s,x,r\n0.0,0,0.9,0.1,0.0\n0.0,1,0.9,0.1,0.0\n1.0,0,0.8,0.2,0.0\n"
+    )
+    with pytest.raises(ConfigError, match="1 nodes at t=1.0, but 2 at t=0.0"):
+        csvio.read_states_csv(path)
 
 
 def test_rn_round_trip(tmp_path):
