@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import CalibrationInfeasibleError, ConfigError, UndefinedRatioError
-from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, derivative, inflow
+from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, infected_derivative, inflow
 from .privacy import (
     PrivacySpec,
     TruncGaussParams,
@@ -48,7 +48,7 @@ from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector, lern_ve
     member_sums,
     report_matrix,
 )
-from .seeding import StreamRole, stream
+from .seeding import StreamRole, generators, stream_words
 
 # ``run_pipeline``, ``cluster_matrix``, ``lern_vector`` and ``cern_vector`` are
 # not called here; they stay bound in this module because perfbench's traced
@@ -196,22 +196,18 @@ def monte_carlo_entry_stats(
     return float(np.mean(values)), float(np.var(values, ddof=1))
 
 
-def _private_reports(
-    reports: np.ndarray, spec: PrivacySpec, master_seed: int, epoch: int, trials: int
-) -> np.ndarray:
-    """Every authority's report in every trial, ``(trials, n, m)``.
+def _private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -> np.ndarray:
+    """Every authority's report in every trial, ``(trials, n, m)``, trial t of authority i
+    drawn from the generator seeded with ``words[i, t]``.
 
     Randomized as ``LocalAuthority.handle`` does; an all-zero report passes
     through unchanged.
     """
-    out = np.empty((trials,) + reports.shape)
+    out = np.empty((words.shape[1],) + reports.shape)
     out[:] = reports
     for i, zeta in enumerate(reports):
         if np.any(zeta > 0.0):
-            rngs = [
-                stream(master_seed, StreamRole.LOCAL_AUTHORITY, i, epoch, t) for t in range(trials)
-            ]
-            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), rngs)
+            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), generators(words[i]))
     if np.any(out < 0.0):  # a box reaching below zero; the pipeline's report check
         raise ConfigError("report entries must be finite and >= 0")
     return out
@@ -238,12 +234,14 @@ def rmse_sweep(
     ``protocol.run_pipeline``.  They are computed in arrays: exact reports
     once per state, one calibration and box check per authority and state,
     and trial t's noise from the authority's ``(LOCAL_AUTHORITY, i, epoch,
-    t)`` stream.  Neither the actors nor the shuffle can change a bit, so
-    neither runs: assembly sorts each column before summing, and the
-    shuffler streams are independent of the authorities'.  Infeasible
-    calibrations are reported per epsilon instead of aborting the sweep; if
-    every exact cluster entry is zero, the percentage error is undefined and
-    ``UndefinedRatioError`` is raised before any noise is drawn.
+    t)`` stream, whose seed words are derived in arrays once per sweep
+    (``seeding.stream_words``) and seed a fresh generator for each epsilon;
+    no ``SeedSequence`` is built.  Neither the actors nor the shuffle can
+    change a bit, so neither runs: assembly sorts each column before
+    summing, and the shuffler streams are independent of the authorities'.
+    Infeasible calibrations are reported per epsilon instead of aborting the
+    sweep; if every exact cluster entry is zero, the percentage error is
+    undefined and ``UndefinedRatioError`` is raised before any noise is drawn.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
@@ -265,18 +263,19 @@ def rmse_sweep(
     exact_scale = float(np.mean(np.abs(exact)))
     if exact_scale == 0.0:
         raise UndefinedRatioError("every exact cluster entry is zero; the percentage error is undefined")
+    # seed words of every (LOCAL_AUTHORITY, i, epoch, trial) stream, (n, trials, 4) per epoch
+    words = [
+        stream_words(master_seed, StreamRole.LOCAL_AUTHORITY, range(net.n), epoch, range(trials))
+        for epoch in range(len(epochs))
+    ]
 
     for eps in report.eps_grid:
         spec = PrivacySpec(epsilon0=eps, delta=delta, k=k, bounds=bounds)
         try:
             private = np.stack(  # (epochs, trials, m, m)
                 [
-                    assemble_clusters(
-                        _private_reports(reports, spec, master_seed, epoch, trials),
-                        weights,
-                        partition,
-                    )
-                    for epoch, (reports, weights) in enumerate(epochs)
+                    assemble_clusters(_private_reports(reports, spec, w), weights, partition)
+                    for (reports, weights), w in zip(epochs, words)
                 ]
             )
         except CalibrationInfeasibleError as exc:
@@ -361,7 +360,7 @@ def trichotomy_counts(
     trajectory = Trajectory.from_states(trajectory)
     gaps = _lerns(net, trajectory, floor, check=False) - 1.0
     counted = (trajectory.x > np.asarray(floor, dtype=float)) & (np.abs(gaps) > band)
-    agree = np.sign(derivative(net, trajectory, kind)[1]) == np.sign(gaps)
+    agree = np.sign(infected_derivative(net, trajectory, kind)) == np.sign(gaps)
     return int(np.sum(agree & counted)), int(np.sum(counted))
 
 
@@ -428,7 +427,7 @@ def threshold_report(
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
     trajectory = Trajectory.from_states(trajectory)
-    xs, xdots = trajectory.x, derivative(net, trajectory, kind)[1].copy()  # frees the (3, T, n) rest
+    xs, xdots = trajectory.x, infected_derivative(net, trajectory, kind)
     lerns = _lerns(net, trajectory, floor, check=True)
     cerns = _cerns(net, trajectory, lerns, partition, floor)
     above = xs > np.asarray(floor, dtype=float)

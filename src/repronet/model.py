@@ -34,6 +34,7 @@ __all__ = [
     "StabilityWarning",
     "check_fractions",
     "derivative",
+    "infected_derivative",
     "inflow",
     "integrate",
 ]
@@ -245,6 +246,22 @@ def derivative(net: TransmissionNetwork, state: EpidemicState | Trajectory, kind
     if state.n != net.n:
         raise ConfigError(f"state has {state.n} entities, network has {net.n}")
     return _rhs(net.b, net.gamma, state.s, state.x, kind)
+
+
+def infected_derivative(net: TransmissionNetwork, state: EpidemicState | Trajectory, kind: ModelKind):
+    """x' alone, bit for bit ``derivative(net, state, kind)[1]``, without the s' and r' arrays."""
+    if state.n != net.n:
+        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
+    x = state.x
+    rate = net.b @ x if x.ndim == 1 else inflow(net.b, x)
+    rate *= state.s  # the infection term s * (B x)
+    if kind is ModelKind.SIS:
+        rate -= net.gamma * x
+        return rate
+    # SIR: -(s' + r') with s' = -infection and r' = gamma x, as ``_rhs`` builds it
+    np.negative(rate, out=rate)
+    rate += net.gamma * x
+    return np.negative(rate, out=rate)
 
 
 def integrate(

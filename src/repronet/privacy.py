@@ -355,6 +355,8 @@ class PrivacySpec:
         return np.full(m, lo), np.full(m, hi)
 
     def calibrate(self, support_mask) -> "CalibratedMechanism":
+        """The mechanism of one support pattern, cached per pattern; ``calibrate_sigma``
+        runs once per count of active entries."""
         mask = tuple(bool(v) for v in support_mask)
         return _calibrate_cached(self, mask)
 
@@ -383,9 +385,19 @@ class CalibratedMechanism:
 
 
 @lru_cache(maxsize=512)
+def _calibrate_count(spec: PrivacySpec, d: int) -> tuple[float, np.ndarray]:
+    """``calibrate_sigma`` of ``d`` active entries.  Every entry shares one box, so a
+    support mask enters the calibration only through its count of active entries."""
+    lower, upper = spec.bounds_arrays(d)
+    return calibrate_sigma(spec.epsilon0, spec.k, lower, upper, np.ones(d, dtype=bool))
+
+
+@lru_cache(maxsize=512)
 def _calibrate_cached(spec: PrivacySpec, mask: tuple) -> CalibratedMechanism:
+    sigma, active_offset = _calibrate_count(spec, sum(mask))
     lower, upper = spec.bounds_arrays(len(mask))
-    sigma, offset = calibrate_sigma(spec.epsilon0, spec.k, lower, upper, np.array(mask))
+    offset = np.zeros(len(mask))
+    offset[np.array(mask, dtype=bool)] = active_offset
     return CalibratedMechanism(
         spec=spec,
         support=mask,

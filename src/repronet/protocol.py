@@ -48,7 +48,10 @@ from .reproduction import (
     floored_infections,
     report_matrix,
 )
-from .seeding import StreamRole, stream
+from .seeding import StreamRole, stream, streams  # noqa: F401  (stream: see below)
+
+# ``stream`` is not called here; it stays bound because perfbench's traced
+# runs wrap it by this name.
 
 __all__ = [
     "LocalAggVector",
@@ -373,22 +376,25 @@ def run_pipeline(
         raise ConfigError("network, state, and partition sizes must agree")
     private = spec is not None
 
+    rngs = (
+        streams(master_seed, StreamRole.LOCAL_AUTHORITY, range(net.n), epoch, (trial,))
+        if private
+        else [None] * net.n
+    )
     authorities = [
         LocalAuthority(
             ident=i,
             b_row=net.b[i],
             gamma_i=float(net.gamma[i]),
             spec=spec,
-            rng=stream(master_seed, StreamRole.LOCAL_AUTHORITY, i, epoch, trial) if private else None,
+            rng=rng,
             floor=floor,
             clamp=clamp,
         )
-        for i in range(net.n)
+        for i, rng in enumerate(rngs)
     ]
-    shufflers = {
-        q: Shuffler(q, stream(master_seed, StreamRole.SHUFFLER, q, epoch, trial))
-        for q in range(partition.m)
-    }
+    shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
+    shufflers = {q: Shuffler(q, rng) for q, rng in enumerate(shuffler_rngs)}
     aggregators = {q: ClusterAggregator(q, floor=floor) for q in range(partition.m)}
     center = DataCenter(partition.m, private=private)
 

@@ -7,7 +7,7 @@ import oracles
 import repronet as rn
 from conftest import make_network, make_state
 from repronet.exceptions import ConfigError, IntegrationError
-from repronet.model import StabilityWarning
+from repronet.model import StabilityWarning, infected_derivative
 
 
 def scalar_net(beta=0.3, gamma=0.1):
@@ -189,3 +189,52 @@ def test_derivative_conservation_property(seed, n):
     sdot, xdot, rdot = rn.derivative(net, state, rn.ModelKind.SIS)
     np.testing.assert_array_equal(sdot + xdot, np.zeros(n))
     assert np.all(np.isfinite(np.stack([sdot, xdot, rdot])))
+
+
+def test_integrate_clamps_round_off_below_zero():
+    # one RK4 step of this single-node SIR lands s at -4.0e-10: round-off, not instability
+    b, gamma, s0, x0, dt = 1.0, 1.0, 0.5, 0.5, 3.746105171976
+
+    def rates(s, x):
+        return -b * s * x, b * s * x - gamma * x
+
+    k1 = rates(s0, x0)
+    k2 = rates(s0 + 0.5 * dt * k1[0], x0 + 0.5 * dt * k1[1])
+    k3 = rates(s0 + 0.5 * dt * k2[0], x0 + 0.5 * dt * k2[1])
+    k4 = rates(s0 + dt * k3[0], x0 + dt * k3[1])
+    raw_s = s0 + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    assert -1e-9 < raw_s < -1e-10
+
+    state = rn.EpidemicState(t=0.0, s=[s0], x=[x0])
+    with pytest.warns(StabilityWarning):
+        traj = rn.integrate(scalar_net(beta=b, gamma=gamma), state, rn.ModelKind.SIR, dt, 1)
+    assert traj.s[1, 0] == 0.0
+    # the clamp moved the sum by 4e-10, so the triple was renormalized too
+    assert abs(traj.s[1, 0] + traj.x[1, 0] + traj.r[1, 0] - 1.0) <= 1e-15
+
+
+def test_integrate_renormalizes_drifted_sum(rng):
+    net = make_network(rng, 3)
+    x = np.array([0.1, 0.2, 0.05])
+    state = rn.EpidemicState(t=0.0, s=1.0 - x - 5e-10, x=x)  # drift within the 1e-9 the state allows
+    traj = rn.integrate(net, state, rn.ModelKind.SIS, 0.01, 2)
+    totals = traj.s + traj.x + traj.r
+    assert np.abs(totals[0] - 1.0).max() > 4e-10
+    assert np.abs(totals[1:] - 1.0).max() <= 1e-15
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), steps=st.integers(0, 4), zero=st.booleans())
+@settings(max_examples=40)
+def test_infected_derivative_is_derivative_row_property(seed, n, steps, zero):
+    rng = np.random.default_rng(seed)
+    net = make_network(rng, n)
+    state = make_state(rng, n, with_r=True)
+    if zero:  # a node with no infection, where x' can be a signed zero
+        x = state.x.copy()
+        x[0] = 0.0
+        state = rn.EpidemicState(t=0.0, s=1.0 - x - state.r, x=x, r=state.r)
+    for kind in rn.ModelKind:
+        traj = rn.integrate(net, state, kind, 0.01, steps)
+        for value in (state, traj):
+            got = infected_derivative(net, value, kind)
+            assert got.tobytes() == rn.derivative(net, value, kind)[1].tobytes()

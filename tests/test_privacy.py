@@ -189,6 +189,31 @@ def test_spec_calibration_roundtrip():
     assert again is mech  # cached
 
 
+def test_calibration_runs_once_per_active_count(monkeypatch):
+    import repronet.privacy as privacy
+
+    spec = PrivacySpec(epsilon0=0.731, k=1e-5, bounds=(0.0, 14.0))  # used by no other test
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate_sigma(*args)
+
+    monkeypatch.setattr(privacy, "calibrate_sigma", counted)
+    masks = [(True, False, True, False), (False, True, True, False), (False, False, True, True),
+             (True, True, True, False), (False, True, True, True)]
+    mechs = [spec.calibrate(mask) for mask in masks]
+    assert len(calls) == 2  # two and three active entries
+    lower, upper = spec.bounds_arrays(4)
+    for mask, mech in zip(masks, mechs):
+        sigma, offset = calibrate_sigma(spec.epsilon0, spec.k, lower, upper, np.array(mask))
+        assert mech.support == mask
+        assert mech.sigma == sigma and mech.offset == tuple(offset.tolist())
+    assert spec.calibrate(masks[1]) is mechs[1]
+    with pytest.raises(ConfigError, match="at least one entry must be active"):
+        spec.calibrate((False,) * 4)
+
+
 def test_randomizer_preserves_zeros_and_box():
     spec = PrivacySpec(epsilon0=1.0, k=1e-5, bounds=(0.0, 14.0))
     zeta = np.array([2.0, 0.0, 5.0])
