@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import analysis, csvio, protocol, reproduction
@@ -101,8 +102,7 @@ def _records(matrices, kind: str):
     """One (t, row, column, value, kind) record per entry of each (t, matrix values) pair."""
     for t, values in matrices:
         for i, row in enumerate(values):
-            for j, value in enumerate(row):
-                yield t, i, j, value, kind
+            yield from zip(repeat(t), repeat(i), range(len(row)), row.tolist(), repeat(kind))
 
 
 def _cmd_compute_rn(args) -> int:

@@ -1,19 +1,20 @@
-"""CSV reading and writing for matrices, trajectories, and RN series.
-
-Formats:
+"""CSV reading and writing for matrices, trajectories and RN series, in these formats:
 
 * matrix CSV: header ``j1,...,jn``, one row per source row i;
 * state CSV: columns ``t,node,s,x,r``, one row per (time, node);
 * rn CSV: columns ``t,i,j,value,kind``.
 
-Floats are written with 17 significant digits, so a write/read round trip
-is bit-exact.
+Rows end in ``\\r\\n``, as ``csv.writer`` ends them (the CLI writes ``network_rn.csv``
+itself, with ``\\n``), and floats are written as ``%.17g``, so a write/read round
+trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
+import itertools
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,10 +35,6 @@ __all__ = [
     "write_accuracy_summary_csv",
     "write_threshold_csvs",
 ]
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_float(cell: str, where: str) -> float:
@@ -83,25 +80,27 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"j{j + 1}" for j in range(n)])
         for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(["%.17g" % v for v in row])
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = [[_parse_float(cell, where) for cell in row] for where, row in _data_rows(path, "matrix")]
+    rows = [np.fromiter((_parse_float(cell, where) for cell in row), float, len(row))
+            for where, row in _data_rows(path, "matrix")]
     if not rows:
         raise ConfigError(f"{path}: matrix file has a header but no rows")
-    return np.array(rows)
+    return np.stack(rows)
 
 
 def write_states_csv(path, states: Sequence[EpidemicState]) -> None:
     trajectory = Trajectory.from_states(states)
+    template = "".join(f"%s,{i},%.17g,%.17g,%.17g\r\n" for i in range(trajectory.n))
+    cells = [None] * (4 * trajectory.n)  # t, s, x, r of node 0, then of node 1, ...
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "s", "x", "r"])
-        for k, t in enumerate(trajectory.t.tolist()):
-            t = _fmt(t)
-            rows = zip(trajectory.s[k].tolist(), trajectory.x[k].tolist(), trajectory.r[k].tolist())
-            writer.writerows([t, i, _fmt(s), _fmt(x), _fmt(r)] for i, (s, x, r) in enumerate(rows))
+        fh.write("t,node,s,x,r\r\n")
+        for t, s, x, r in zip(trajectory.t.tolist(), trajectory.s, trajectory.x, trajectory.r):
+            cells[0::4] = ["%.17g" % t] * len(s)
+            cells[1::4], cells[2::4], cells[3::4] = s.tolist(), x.tolist(), r.tolist()
+            fh.write(template % tuple(cells))
 
 
 def read_states_csv(path) -> Trajectory:
@@ -135,12 +134,20 @@ def read_states_csv(path) -> Trajectory:
 
 
 def write_rn_csv(path, records: Iterable[tuple]) -> None:
-    """Write (t, i, j, value, kind) records."""
+    """Write (t, i, j, value, kind) records: integer i, j, and a kind ``csv.writer`` leaves as is."""
+    records = iter(records)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "j", "value", "kind"])
-        for t, i, j, value, kind in records:
-            writer.writerow([_fmt(t), i, j, _fmt(value), kind])
+        fh.write("t,i,j,value,kind\r\n")
+        while chunk := list(itertools.islice(records, 8192)):
+            cells = list(itertools.chain.from_iterable(chunk))
+            for kind in set(cells[4::5]):
+                csv.writer(line := io.StringIO()).writerow(["", kind])
+                if line.getvalue() != f",{kind}\r\n":
+                    raise ConfigError(f"rn kind {kind!r} is not plain CSV text")
+            ts = cells[0::5]
+            shared = len(set(map(id, ts))) == 1  # one epoch's records share one t: format it once
+            cells[0::5] = ["%.17g" % ts[0]] * len(ts) if shared else map("%.17g".__mod__, ts)
+            fh.write("%s,%d,%d,%.17g,%s\r\n" * len(chunk) % tuple(cells))
 
 
 def read_rn_csv(path) -> list[tuple[float, int, int, float, str]]:
@@ -154,7 +161,7 @@ def _cells(record, skip=()) -> list:
     """A record's fields as CSV cells: floats in full precision, flags as 0/1."""
     fields = [f for f in dataclasses.fields(record) if f.name not in skip]
     values = [getattr(record, f.name) for f in fields]
-    return [int(v) if isinstance(v, bool) else _fmt(v) if isinstance(v, float) else v for v in values]
+    return [int(v) if isinstance(v, bool) else "%.17g" % v if isinstance(v, float) else v for v in values]
 
 
 def write_accuracy_csv(path, report: AccuracyReport) -> None:

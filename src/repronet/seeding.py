@@ -56,7 +56,8 @@ def stream(
     """Independent generator for one (role, id, epoch, trial) slot."""
     if master_seed < 0:
         raise ConfigError(f"master seed must be non-negative, got {master_seed}")
-    key = [int(master_seed), int(role), int(ident), int(epoch), int(trial)]
+    # the key's words, as SeedSequence expands its integers; a negative entry raises ConfigError
+    key = [int(master_seed), int(role)] + [w for value in (ident, epoch, trial) for w in _words(value)]
     return np.random.default_rng(np.random.SeedSequence(key))
 
 

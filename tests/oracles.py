@@ -7,11 +7,14 @@ references their array versions must reproduce bit for bit:
 ``rmse_sweep_reference`` (the per-trial pipeline), ``integrate_reference``,
 ``trichotomy_counts_reference`` and ``threshold_report_reference`` (one
 validated state per step), with the per-state ``_rhs`` and ``derivative``
-they called.
+they called, and ``write_states_csv_reference`` and
+``write_rn_csv_reference`` (one ``csv.writer`` row per node or record).
 """
 
+import csv
 import math
 import warnings
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import integrate as scipy_integrate
@@ -33,6 +36,7 @@ from repronet.model import (
     EpidemicState,
     ModelKind,
     StabilityWarning,
+    Trajectory,
     TransmissionNetwork,
 )
 from repronet.privacy import PrivacySpec
@@ -513,3 +517,27 @@ def threshold_report_reference(
             )
         )
     return ThresholdReport(nodes=nodes, clusters=clusters)
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+def write_states_csv_reference(path, states: Sequence[EpidemicState]) -> None:
+    trajectory = Trajectory.from_states(states)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "node", "s", "x", "r"])
+        for k, t in enumerate(trajectory.t.tolist()):
+            t = _fmt(t)
+            rows = zip(trajectory.s[k].tolist(), trajectory.x[k].tolist(), trajectory.r[k].tolist())
+            writer.writerows([t, i, _fmt(s), _fmt(x), _fmt(r)] for i, (s, x, r) in enumerate(rows))
+
+
+def write_rn_csv_reference(path, records: Iterable[tuple]) -> None:
+    """Write (t, i, j, value, kind) records."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "i", "j", "value", "kind"])
+        for t, i, j, value, kind in records:
+            writer.writerow([_fmt(t), i, j, _fmt(value), kind])

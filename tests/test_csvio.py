@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import repronet as rn
 from conftest import make_network, make_state
-from repronet import csvio
+from repronet import cli, csvio
 from repronet.exceptions import ConfigError
 
 
@@ -98,3 +99,85 @@ def test_matrix_round_trip_property(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     csvio.write_matrix_csv(path, matrix)
     np.testing.assert_array_equal(csvio.read_matrix_csv(path), matrix)
+
+
+# float64 values the writers must spell exactly as format(v, ".17g") does
+SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1.8e308]
+FRACTIONS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+RN_KINDS = ["basic", "pseudo_effective", "effective", "cluster", "cluster_private"]
+
+
+def assert_same_bytes(tmp_path, write, reference, data):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(got, data)
+    reference(want, data)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@given(
+    n=st.integers(1, 12),
+    samples=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=100)
+def test_states_writer_bytes_equal_csv_writer_property(tmp_path_factory, n, samples, data):
+    times = data.draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=samples, max_size=samples))
+    x, r = (np.array(data.draw(st.lists(FRACTIONS, min_size=samples * n, max_size=samples * n))) for _ in "xr")
+    r = np.where(x + r > 1.0, 1.0 - x, r)
+    s = np.maximum(1.0 - x - r, 0.0)
+    trajectory = rn.Trajectory(times, *(a.reshape(samples, n) for a in (s, x, r)))
+    tmp_path = tmp_path_factory.mktemp("states")
+    assert_same_bytes(tmp_path, csvio.write_states_csv, oracles.write_states_csv_reference, trajectory)
+    assert_same_bytes(tmp_path, csvio.write_states_csv, oracles.write_states_csv_reference, list(trajectory))
+
+
+@given(
+    times=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=3),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.integers(0, 2**40) | st.integers(0, 2**40).map(np.int64),
+            st.integers(0, 2**40) | st.integers(0, 2**40).map(np.int64),
+            st.sampled_from(SPECIAL) | st.floats() | st.floats().map(np.float64),
+            st.sampled_from(RN_KINDS),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=150)
+def test_rn_writer_bytes_equal_csv_writer_property(tmp_path_factory, times, rows):
+    # records pick their t from a few float objects, so runs of one shared t occur
+    records = [(times[k % len(times)], i, j, value, kind) for k, i, j, value, kind in rows]
+    tmp_path = tmp_path_factory.mktemp("rn")
+    assert_same_bytes(tmp_path, csvio.write_rn_csv, oracles.write_rn_csv_reference, records)
+    unshared = [(float(repr(record[0])),) + record[1:] for record in records]
+    assert_same_bytes(tmp_path, csvio.write_rn_csv, oracles.write_rn_csv_reference, unshared)
+
+
+def test_rn_writer_bytes_equal_csv_writer_across_chunks(tmp_path, rng):
+    # the CLI's records of three 100x100 epochs fill several of the writer's chunks, and
+    # some chunks hold two epochs; then the same records with a distinct t object each
+    matrices = [(t, rng.uniform(0.0, 2.0, (100, 100))) for t in (-0.0, 0.0, 0.25)]
+    matrices[1][1][3, :5] = SPECIAL[:5]
+    records = list(cli._records(matrices, "effective"))
+    assert len(records) == 30_000 and records[0][0] is matrices[0][0]
+    assert_same_bytes(tmp_path, csvio.write_rn_csv, oracles.write_rn_csv_reference, records)
+    unshared = [(float(repr(t)), i, j, value, kind) for t, i, j, value, kind in records]
+    assert_same_bytes(tmp_path, csvio.write_rn_csv, oracles.write_rn_csv_reference, unshared)
+    lines = (tmp_path / "got.csv").read_text().splitlines()
+    assert lines[1].startswith("-0,0,0,") and lines[10_001].startswith("0,0,0,")
+
+
+def test_writers_end_rows_in_crlf(tmp_path):
+    path = tmp_path / "rn.csv"
+    csvio.write_rn_csv(path, [(0.5, 1, np.int64(2), 0.25, "effective"), (-0.0, 0, 0, 5e-324, "cluster")])
+    assert path.read_bytes() == b"t,i,j,value,kind\r\n0.5,1,2,0.25,effective\r\n-0,0,0,4.9406564584124654e-324,cluster\r\n"
+    state = rn.EpidemicState(t=0.5, s=np.array([0.75, 1.0]), x=np.array([0.25, 0.0]))
+    csvio.write_states_csv(path, [state])
+    assert path.read_bytes() == b"t,node,s,x,r\r\n0.5,0,0.75,0.25,0\r\n0.5,1,1,0,0\r\n"
+
+
+@pytest.mark.parametrize("kind", ["a,b", 'say "x"', "a\rb", "a\nb", None])
+def test_rn_writer_rejects_kinds_csv_would_quote(tmp_path, kind):
+    with pytest.raises(ConfigError, match="not plain CSV text"):
+        csvio.write_rn_csv(tmp_path / "rn.csv", [(0.0, 0, 0, 1.0, "effective"), (0.0, 0, 1, 1.0, kind)])

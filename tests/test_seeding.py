@@ -60,3 +60,27 @@ def test_negative_master_seed_raises_on_both_paths():
         streams(-1, StreamRole.LOCAL_AUTHORITY, range(3))
     with pytest.raises(ConfigError, match="master seed must be non-negative"):
         stream_words(-1, StreamRole.LOCAL_AUTHORITY, range(3))
+
+
+NEGATIVE_KEY = "stream key entries must be non-negative, got -1"
+
+
+def test_stream_negative_ident_raises_config_error():
+    with pytest.raises(ConfigError, match=NEGATIVE_KEY):
+        stream(1, StreamRole.SHUFFLER, -1)
+    with pytest.raises(ConfigError, match=NEGATIVE_KEY):
+        streams(1, StreamRole.SHUFFLER, [-1])
+
+
+def test_stream_negative_epoch_raises_config_error():
+    with pytest.raises(ConfigError, match=NEGATIVE_KEY):
+        stream(1, StreamRole.SHUFFLER, 0, -1)
+    with pytest.raises(ConfigError, match=NEGATIVE_KEY):
+        streams(1, StreamRole.SHUFFLER, [0], -1)
+
+
+def test_stream_negative_trial_raises_config_error():
+    with pytest.raises(ConfigError, match=NEGATIVE_KEY):
+        stream(1, StreamRole.SHUFFLER, 0, 0, -1)
+    with pytest.raises(ConfigError, match=NEGATIVE_KEY):
+        streams(1, StreamRole.SHUFFLER, [0], 0, [-1])
