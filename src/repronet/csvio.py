@@ -144,10 +144,7 @@ def write_rn_csv(path, records: Iterable[tuple]) -> None:
                 csv.writer(line := io.StringIO()).writerow(["", kind])
                 if line.getvalue() != f",{kind}\r\n":
                     raise ConfigError(f"rn kind {kind!r} is not plain CSV text")
-            ts = cells[0::5]
-            shared = len(set(map(id, ts))) == 1  # one epoch's records share one t: format it once
-            cells[0::5] = ["%.17g" % ts[0]] * len(ts) if shared else map("%.17g".__mod__, ts)
-            fh.write("%s,%d,%d,%.17g,%s\r\n" * len(chunk) % tuple(cells))
+            fh.write("%.17g,%d,%d,%.17g,%s\r\n" * len(chunk) % tuple(cells))
 
 
 def read_rn_csv(path) -> list[tuple[float, int, int, float, str]]:
