@@ -221,9 +221,9 @@ def rmse_sweep(
     trials: int,
     master_seed: int,
     *,
-    delta: float = 0.01,
-    k: float = 1e-5,
-    bounds: tuple = (0.0, 14.0),
+    delta: float = PrivacySpec.delta,
+    k: float = PrivacySpec.k,
+    bounds: tuple = PrivacySpec.bounds,
     clamp: tuple[float, float] | None = None,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> AccuracyReport:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from itertools import repeat
 from pathlib import Path
 
 from . import analysis, csvio, protocol, reproduction
-from .exceptions import RepronetError
+from .exceptions import ConfigError, RepronetError
 from .model import integrate
 from .reproduction import MatrixKind, build_matrix, network_reproduction
 from .scenario import (
@@ -170,12 +171,14 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_accuracy(args) -> int:
-    ctx = _Context(args)
-    scenario = ctx.scenario
     try:
         eps_grid = [float(v) for v in args.eps.split(",") if v.strip()]
     except ValueError:
-        raise RepronetError(f"invalid --eps grid: {args.eps!r}") from None
+        eps_grid = []
+    if not eps_grid or not all(map(math.isfinite, eps_grid)):
+        raise ConfigError(f"invalid --eps grid: {args.eps!r} (expected comma-separated finite numbers)")
+    ctx = _Context(args)
+    scenario = ctx.scenario
     report = analysis.rmse_sweep(
         ctx.net,
         ctx.sampled(ctx.trajectory()),

@@ -1,16 +1,17 @@
 """Scenario configuration: YAML schema, validation, and object builders.
 
 A scenario file is a YAML (or JSON) mapping; unknown keys are rejected and
-validation errors name the offending field path.  The full schema with
-defaults is documented in the README.  Numeric defaults follow the
-reporting pipeline's presets: clamp range [0, 14], adjacency radius 1e-5,
-delta 0.01, dt 0.1.
+validation errors name the offending field path.  Each key is a field of one
+of the dataclasses below: its default is the key's default, and its metadata
+holds the key's parser and optional range check (see ``_field``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .csvio import read_matrix_csv
 from .exceptions import ConfigError
 from .model import EpidemicState, ModelKind, TransmissionNetwork
 from .privacy import PrivacySpec, amplified_epsilon
-from .reproduction import Partition
+from .reproduction import DEFAULT_CLAMP, DEFAULT_INFECTION_FLOOR, Partition
 from .seeding import StreamRole, stream
 
 __all__ = [
@@ -40,105 +41,164 @@ __all__ = [
 _MAX_GENERATOR_ATTEMPTS = 100
 
 
-def _require_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
+# Value parsers: each returns the value of the key at ``path`` or raises a
+# ConfigError that names ``path``.
 
 
-def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(node) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown} (allowed: {sorted(allowed)})")
+def _exact(kind: type, noun: str):
+    def parse(value, path: str):
+        if type(value) is not kind:
+            raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _get_number(node: dict, key: str, path: str, default=None):
-    value = node.get(key, default)
-    if value is None:
-        raise ConfigError(f"{path}.{key}: required value missing")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+_int, _str, _bool = _exact(int, "an integer"), _exact(str, "a string"), _exact(bool, "true/false")
+
+
+def _number(value, path: str) -> float:
+    # The bound is False for nan, for +-inf and for integers beyond the float range.
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _get_int(node: dict, key: str, path: str, default=None) -> int:
-    value = node.get(key, default)
-    if value is None:
-        raise ConfigError(f"{path}.{key}: required value missing")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _number_list(value, path: str) -> tuple[float, ...]:
+def _numbers(value, path: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
-    out = []
-    for idx, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}[{idx}]: expected a number, got {item!r}")
-        out.append(float(item))
-    return tuple(out)
+    return tuple(_number(item, f"{path}[{idx}]") for idx, item in enumerate(value))
+
+
+def _scalar_or_list(value, path: str) -> float | tuple[float, ...]:
+    return _numbers(value, path) if isinstance(value, (list, tuple)) else _number(value, path)
 
 
 def _pair(value, path: str) -> tuple[float, float]:
-    pair = _number_list(value, path)
+    pair = _numbers(value, path)
     if len(pair) != 2:
         raise ConfigError(f"{path}: expected exactly two numbers, got {len(pair)}")
+    if pair[0] > pair[1]:
+        raise ConfigError(f"{path}: need lo <= hi, got {list(pair)}")
     return pair  # type: ignore[return-value]
+
+
+def _optional(parse):
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _square_matrix(value, path: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of rows")
+    rows = tuple(_numbers(row, f"{path}[{idx}]") for idx, row in enumerate(value))
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"{path}: must be square ({len(rows)} rows)")
+    return rows
+
+
+def _index_lists(value, path: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list) or any(not isinstance(block, list) for block in value):
+        raise ConfigError(f"{path}: expected a list of entity-index lists")
+    for q, block in enumerate(value):
+        for idx, index in enumerate(block):
+            if type(index) is not int or index < 0:
+                raise ConfigError(f"{path}[{q}][{idx}]: expected an entity index >= 0, got {index!r}")
+    return tuple(map(tuple, value))
+
+
+def _at_least(lo: int):
+    return (lambda value: value >= lo, f"must be >= {lo}")
+
+
+def _field(parse, default=MISSING, check=None):
+    """A scenario key: ``parse(value, path)`` converts its raw value, and the
+    optional ``check``, a ``(predicate, message)`` pair, bounds the result.
+    A key whose default is None also takes null, meaning None."""
+    if default is None:
+        parse = _optional(parse)
+    return field(default=default, metadata={"parse": parse, "check": check})
+
+
+def _parse(cls, node, path: str):
+    """``cls`` from one mapping (null reads as empty): its keys are the fields
+    of ``cls``, and a key left out takes its field's default."""
+    node = {} if node is None else node
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
+    allowed = {f.name for f in fields(cls)}
+    unknown = sorted(set(node) - allowed)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown} (allowed: {sorted(allowed)})")
+    values = {}
+    for f in fields(cls):
+        key_path = f"{path}.{f.name}"
+        if f.name not in node:
+            if f.default is MISSING:
+                raise ConfigError(f"{key_path}: required value missing")
+            continue
+        value = values[f.name] = f.metadata["parse"](node[f.name], key_path)
+        check = f.metadata["check"]
+        if check is not None and value is not None and not check[0](value):
+            raise ConfigError(f"{key_path}: {check[1]}, got {value!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
 class RandomNetworkConfig:
-    n: int
-    edge_density: float = 0.5
-    beta_range: tuple[float, float] = (0.05, 0.3)
-    gamma_range: tuple[float, float] = (0.1, 0.5)
-    seed: int | None = None
+    n: int = _field(_int, check=(lambda n: n >= 2, "need at least 2 entities"))
+    edge_density: float = _field(_number, 0.5, (lambda d: 0.0 < d <= 1.0, "must lie in (0, 1]"))
+    beta_range: tuple[float, float] = _field(
+        _pair, (0.05, 0.3), (lambda p: 0.0 <= p[0] and p[1] <= 1.0, "must satisfy 0 <= lo <= hi <= 1")
+    )
+    gamma_range: tuple[float, float] = _field(
+        _pair, (0.1, 0.5), (lambda p: 0.0 < p[0] and p[1] <= 1.0, "must satisfy 0 < lo <= hi <= 1")
+    )
+    seed: int | None = _field(_int, None, _at_least(0))
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     """Exactly one source: inline matrices, CSV paths, or a generator."""
 
-    matrix: tuple | None = None
-    gamma: tuple | None = None
-    matrix_csv: str | None = None
-    gamma_csv: str | None = None
-    random: RandomNetworkConfig | None = None
+    matrix: tuple | None = _field(_square_matrix, None)
+    gamma: tuple | None = _field(_scalar_or_list, None)  # per matrix row; 0.5 each when left out
+    matrix_csv: str | None = _field(_str, None)
+    gamma_csv: str | None = _field(_str, None)
+    random: RandomNetworkConfig | None = _field(partial(_parse, RandomNetworkConfig), None)
 
 
 @dataclass(frozen=True)
 class InitialStateConfig:
-    x: tuple | float = 0.01
-    r: tuple | float = 0.0
-    s: tuple | None = None  # defaults to 1 - x - r
+    x: tuple | float = _field(_scalar_or_list, 0.01)
+    r: tuple | float = _field(_scalar_or_list, 0.0)
+    s: tuple | None = _field(_numbers, None)  # defaults to 1 - x - r
 
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    enabled: bool = False
-    epsilon0: float | None = None
-    target_epsilon: float | None = None
-    delta: float = 0.01
-    k: float = 1e-5
-    bounds: tuple[float, float] = (0.0, 14.0)
-    clamp: tuple[float, float] | None = (0.0, 14.0)
+    enabled: bool = _field(_bool, False)
+    epsilon0: float | None = _field(_number, None)  # 1.0 when enabled without target_epsilon
+    target_epsilon: float | None = _field(_number, None)
+    delta: float = _field(_number, PrivacySpec.delta)
+    k: float = _field(_number, PrivacySpec.k)
+    bounds: tuple[float, float] = _field(_pair, PrivacySpec.bounds)
+    clamp: tuple[float, float] | None = _field(_optional(_pair), DEFAULT_CLAMP)  # null disables
 
 
 @dataclass(frozen=True)
 class Scenario:
-    network: NetworkConfig
-    initial: InitialStateConfig = InitialStateConfig()
-    model: str = "sir"
-    dt: float = 0.1
-    steps: int = 100
-    rn_interval: int = 1
-    partition: tuple = ()  # empty means one whole-network cluster
-    privacy: PrivacyConfig = PrivacyConfig()
-    infection_floor: float = 1e-9
-    output_dir: str = "out"
-    seed: int = 0
+    network: NetworkConfig = _field(partial(_parse, NetworkConfig))
+    initial: InitialStateConfig = _field(partial(_parse, InitialStateConfig), InitialStateConfig())
+    model: str = _field(_str, "sir", (lambda model: model in ("sis", "sir"), "expected 'sis' or 'sir'"))
+    dt: float = _field(_number, 0.1, (lambda dt: dt > 0, "must be positive"))
+    steps: int = _field(_int, 100, _at_least(0))
+    rn_interval: int = _field(_int, 1, _at_least(1))
+    partition: tuple = _field(_index_lists, ())  # empty means one whole-network cluster
+    privacy: PrivacyConfig = _field(partial(_parse, PrivacyConfig), PrivacyConfig())
+    infection_floor: float = _field(_number, DEFAULT_INFECTION_FLOOR, _at_least(0))
+    output_dir: str = _field(_str, "out")
+    seed: int = _field(_int, 0, _at_least(0))
 
     @property
     def model_kind(self) -> ModelKind:
@@ -164,190 +224,37 @@ class Scenario:
         return out
 
 
-def _parse_network(node, path: str) -> NetworkConfig:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"matrix", "gamma", "matrix_csv", "gamma_csv", "random"}, path)
-    sources = [key for key in ("matrix", "matrix_csv", "random") if key in node]
-    if len(sources) != 1:
-        raise ConfigError(f"{path}: specify exactly one of matrix, matrix_csv, random")
-    if "random" in node:
-        rnd = _require_mapping(node["random"], f"{path}.random")
-        _reject_unknown(rnd, {"n", "edge_density", "beta_range", "gamma_range", "seed"}, f"{path}.random")
-        n = _get_int(rnd, "n", f"{path}.random")
-        if n < 2:
-            raise ConfigError(f"{path}.random.n: need at least 2 entities, got {n}")
-        density = _get_number(rnd, "edge_density", f"{path}.random", 0.5)
-        if not 0.0 < density <= 1.0:
-            raise ConfigError(f"{path}.random.edge_density: must lie in (0, 1], got {density}")
-        beta_range = _pair(rnd.get("beta_range", [0.05, 0.3]), f"{path}.random.beta_range")
-        gamma_range = _pair(rnd.get("gamma_range", [0.1, 0.5]), f"{path}.random.gamma_range")
-        seed = rnd.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ConfigError(f"{path}.random.seed: expected an integer, got {seed!r}")
-        return NetworkConfig(
-            random=RandomNetworkConfig(
-                n=n, edge_density=density, beta_range=beta_range, gamma_range=gamma_range, seed=seed
-            )
-        )
-    if "matrix_csv" in node:
-        matrix_csv = node["matrix_csv"]
-        gamma_csv = node.get("gamma_csv")
-        if not isinstance(matrix_csv, str) or (gamma_csv is not None and not isinstance(gamma_csv, str)):
-            raise ConfigError(f"{path}: matrix_csv and gamma_csv must be file paths")
-        if gamma_csv is None:
-            raise ConfigError(f"{path}.gamma_csv: required when loading the matrix from CSV")
-        return NetworkConfig(matrix_csv=matrix_csv, gamma_csv=gamma_csv)
-    matrix = node["matrix"]
-    if not isinstance(matrix, list) or not matrix:
-        raise ConfigError(f"{path}.matrix: expected a non-empty list of rows")
-    rows = tuple(_number_list(row, f"{path}.matrix[{idx}]") for idx, row in enumerate(matrix))
-    if any(len(row) != len(rows) for row in rows):
-        raise ConfigError(f"{path}.matrix: must be square ({len(rows)} rows)")
-    gamma = node.get("gamma")
-    if gamma is None:
-        gamma_tuple = tuple(0.5 for _ in rows)
-    elif isinstance(gamma, (int, float)) and not isinstance(gamma, bool):
-        gamma_tuple = tuple(float(gamma) for _ in rows)
-    else:
-        gamma_tuple = _number_list(gamma, f"{path}.gamma")
-    return NetworkConfig(matrix=rows, gamma=gamma_tuple)
-
-
-def _parse_initial(node, path: str) -> InitialStateConfig:
-    if node is None:
-        return InitialStateConfig()
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"x", "r", "s"}, path)
-
-    def fraction_field(key: str, default):
-        if key not in node:
-            return default
-        value = node[key]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        return _number_list(value, f"{path}.{key}")
-
-    s_value = fraction_field("s", None)
-    if isinstance(s_value, float):
-        raise ConfigError(f"{path}.s: must be a per-entity list when given")
-    return InitialStateConfig(
-        x=fraction_field("x", 0.01), r=fraction_field("r", 0.0), s=s_value
-    )
-
-
-def _parse_privacy(node, path: str) -> PrivacyConfig:
-    if node is None:
-        return PrivacyConfig()
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node,
-        {"enabled", "epsilon0", "target_epsilon", "delta", "k", "bounds", "clamp"},
-        path,
-    )
-    enabled = node.get("enabled", False)
-    if not isinstance(enabled, bool):
-        raise ConfigError(f"{path}.enabled: expected true/false, got {enabled!r}")
-    epsilon0 = node.get("epsilon0")
-    target = node.get("target_epsilon")
-    if epsilon0 is not None and target is not None:
-        raise ConfigError(f"{path}: give epsilon0 or target_epsilon, not both")
-    if enabled and epsilon0 is None and target is None:
-        epsilon0 = 1.0  # reporting-pipeline preset
-    for key, value in (("epsilon0", epsilon0), ("target_epsilon", target)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    clamp = node.get("clamp", [0.0, 14.0])
-    return PrivacyConfig(
-        enabled=enabled,
-        epsilon0=None if epsilon0 is None else float(epsilon0),
-        target_epsilon=None if target is None else float(target),
-        delta=_get_number(node, "delta", path, 0.01),
-        k=_get_number(node, "k", path, 1e-5),
-        bounds=_pair(node.get("bounds", [0.0, 14.0]), f"{path}.bounds"),
-        clamp=None if clamp is None else _pair(clamp, f"{path}.clamp"),
-    )
-
-
 def scenario_from_dict(raw: dict, path: str = "scenario") -> Scenario:
-    raw = _require_mapping(raw, path)
-    _reject_unknown(
-        raw,
-        {
-            "network",
-            "initial",
-            "model",
-            "dt",
-            "steps",
-            "rn_interval",
-            "partition",
-            "privacy",
-            "infection_floor",
-            "output_dir",
-            "seed",
-        },
-        path,
-    )
-    if "network" not in raw:
-        raise ConfigError(f"{path}.network: required section missing")
-    model = raw.get("model", "sir")
-    if model not in ("sis", "sir"):
-        raise ConfigError(f"{path}.model: expected 'sis' or 'sir', got {model!r}")
-    dt = _get_number(raw, "dt", path, 0.1)
-    if dt <= 0:
-        raise ConfigError(f"{path}.dt: must be positive, got {dt}")
-    steps = _get_int(raw, "steps", path, 100)
-    if steps < 0:
-        raise ConfigError(f"{path}.steps: must be >= 0, got {steps}")
-    rn_interval = _get_int(raw, "rn_interval", path, 1)
-    if rn_interval < 1:
-        raise ConfigError(f"{path}.rn_interval: must be >= 1, got {rn_interval}")
-    partition_node = raw.get("partition", [])
-    if not isinstance(partition_node, list) or any(
-        not isinstance(block, list) for block in partition_node
-    ):
-        raise ConfigError(f"{path}.partition: expected a list of entity-index lists")
-    partition = tuple(
-        tuple(_require_index(v, f"{path}.partition[{q}][{idx}]") for idx, v in enumerate(block))
-        for q, block in enumerate(partition_node)
-    )
-    floor = _get_number(raw, "infection_floor", path, 1e-9)
-    if floor < 0:
-        raise ConfigError(f"{path}.infection_floor: must be >= 0, got {floor}")
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"{path}.output_dir: expected a path string")
-    seed = _get_int(raw, "seed", path, 0)
-    if seed < 0:
-        raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
-    scenario = Scenario(
-        network=_parse_network(raw["network"], f"{path}.network"),
-        initial=_parse_initial(raw.get("initial"), f"{path}.initial"),
-        model=model,
-        dt=dt,
-        steps=steps,
-        rn_interval=rn_interval,
-        partition=partition,
-        privacy=_parse_privacy(raw.get("privacy"), f"{path}.privacy"),
-        infection_floor=floor,
-        output_dir=output_dir,
-        seed=seed,
-    )
+    scenario = _parse(Scenario, raw, path)
+    network = _network_source(scenario.network, f"{path}.network")
+    privacy = scenario.privacy
+    if privacy.epsilon0 is not None and privacy.target_epsilon is not None:
+        raise ConfigError(f"{path}.privacy: give epsilon0 or target_epsilon, not both")
+    if privacy.enabled and privacy.epsilon0 is None and privacy.target_epsilon is None:
+        privacy = replace(privacy, epsilon0=1.0)  # reporting-pipeline preset
     # Fail fast on an inconsistent cluster layout (overlaps, gaps).
     if scenario.partition:
-        n_hint = _partition_entity_count(scenario.partition)
-        Partition.from_blocks(scenario.partition, n_hint)
-    return scenario
+        try:
+            Partition.from_blocks(scenario.partition)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.partition: {exc}") from None
+    return replace(scenario, network=network, privacy=privacy)
 
 
-def _require_index(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{path}: expected a non-negative entity index, got {value!r}")
-    return value
-
-
-def _partition_entity_count(blocks) -> int:
-    flat = [i for block in blocks for i in block]
-    return max(flat) + 1 if flat else 0
+def _network_source(cfg: NetworkConfig, path: str) -> NetworkConfig:
+    """``cfg`` with one source and only that source's keys; inline gamma is filled per row."""
+    sources = [key for key in ("matrix", "matrix_csv", "random") if getattr(cfg, key) is not None]
+    if len(sources) != 1:
+        raise ConfigError(f"{path}: specify exactly one of matrix, matrix_csv, random")
+    for key, source in (("gamma", "matrix"), ("gamma_csv", "matrix_csv")):
+        if getattr(cfg, key) is not None and sources != [source]:
+            raise ConfigError(f"{path}.{key}: only allowed with {source}, not with {sources[0]}")
+    if cfg.matrix_csv is not None and cfg.gamma_csv is None:
+        raise ConfigError(f"{path}.gamma_csv: required when loading the matrix from CSV")
+    if cfg.matrix is None:
+        return cfg
+    gamma = 0.5 if cfg.gamma is None else cfg.gamma
+    return replace(cfg, gamma=gamma if isinstance(gamma, tuple) else (gamma,) * len(cfg.matrix))
 
 
 def load_scenario(path) -> Scenario:
@@ -358,7 +265,7 @@ def load_scenario(path) -> Scenario:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
-    return scenario_from_dict(raw if raw is not None else {}, path="scenario")
+    return scenario_from_dict(raw, path="scenario")
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -381,10 +288,6 @@ def _generate_network(cfg: RandomNetworkConfig, scenario_seed: int) -> Transmiss
     base_seed = cfg.seed if cfg.seed is not None else scenario_seed
     lo_b, hi_b = cfg.beta_range
     lo_g, hi_g = cfg.gamma_range
-    if not (0.0 <= lo_b <= hi_b <= 1.0):
-        raise ConfigError(f"beta_range must satisfy 0 <= lo <= hi <= 1, got {cfg.beta_range}")
-    if not (0.0 < lo_g <= hi_g <= 1.0):
-        raise ConfigError(f"gamma_range must satisfy 0 < lo <= hi <= 1, got {cfg.gamma_range}")
     for attempt in range(_MAX_GENERATOR_ATTEMPTS):
         rng = stream(base_seed, StreamRole.SCENARIO, ident=attempt)
         mask = rng.random((cfg.n, cfg.n)) < cfg.edge_density

@@ -264,3 +264,11 @@ output_dir: "%s"
     )
     assert main(["accuracy", "--config", str(config), "--trials", "3"]) == 3
     assert "every exact cluster entry is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["1,x", "nan", "1,inf", "", " , "])
+def test_accuracy_invalid_eps_grid_exit_code(tmp_path, capsys, eps):
+    config = write_config(tmp_path, SCALAR_SIS)
+    assert main(["accuracy", "--config", str(config), "--eps", eps, "--trials", "1"]) == 2
+    assert "--eps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

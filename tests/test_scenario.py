@@ -1,9 +1,14 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 import repronet as rn
 from repronet import scenario as sc
+from repronet.cli import main
 from repronet.exceptions import ConfigError
 
 
@@ -82,6 +87,11 @@ def test_overlapping_clusters_rejected(tmp_path):
     config = MINIMAL + "partition: [[0, 1], [1]]\n"
     with pytest.raises(ConfigError, match="clusters"):
         sc.load_scenario(write_config(tmp_path, config))
+
+
+def test_cluster_layout_errors_name_the_field(tmp_path):
+    with pytest.raises(ConfigError, match=r"scenario\.partition: clusters must cover entities"):
+        sc.load_scenario(write_config(tmp_path, MINIMAL + "partition: [[0], [2]]\n"))
 
 
 def test_invalid_initial_state(tmp_path):
@@ -217,3 +227,98 @@ def test_yaml_dump_is_plain_types(tmp_path):
     scenario = sc.load_scenario(write_config(tmp_path, MINIMAL))
     dumped = yaml.safe_dump(scenario.to_dict())
     assert "!!python" not in dumped
+
+
+def random_network(**keys):
+    return "network:\n  random:\n    n: 4\n" + "".join(f"    {k}: {v}\n" for k, v in keys.items())
+
+
+NON_FINITE = [  # (command, config, field path)
+    ("simulate", MINIMAL + "dt: .nan\n", "scenario.dt"),
+    ("cluster-rn", MINIMAL + "infection_floor: .nan\n", "scenario.infection_floor"),
+    ("accuracy", MINIMAL + "privacy:\n  k: .nan\n", "scenario.privacy.k"),
+    ("pipeline", MINIMAL + "privacy:\n  epsilon0: .inf\n", "scenario.privacy.epsilon0"),
+    ("cluster-rn", MINIMAL + "privacy:\n  clamp: [0.0, .inf]\n", "scenario.privacy.clamp[1]"),
+    ("simulate", MINIMAL + "initial:\n  x: [0.01, .nan]\n", "scenario.initial.x[1]"),
+    ("simulate", "network:\n  matrix: [[0.1, -.inf], [0.3, 0.1]]\n", "scenario.network.matrix[0][1]"),
+    ("simulate", random_network(beta_range="[.nan, 0.3]"), "scenario.network.random.beta_range[0]"),
+    ("simulate", random_network(edge_density=".nan"), "scenario.network.random.edge_density"),
+]
+
+
+@pytest.mark.parametrize("command, config, field_path", NON_FINITE, ids=[case[2] for case in NON_FINITE])
+def test_non_finite_numbers_rejected_at_load(tmp_path, capsys, command, config, field_path):
+    path = write_config(tmp_path, config + f"output_dir: {(tmp_path / 'out').as_posix()}\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert f"error: {field_path}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+BAD_PAIRS = [  # (config, field path, message)
+    (MINIMAL + "privacy:\n  clamp: [14, 0]\n", "scenario.privacy.clamp", "need lo <= hi"),
+    (MINIMAL + "privacy:\n  bounds: [1.0, 0.0]\n", "scenario.privacy.bounds", "need lo <= hi"),
+    (random_network(beta_range="[0.3, 0.1]"), "scenario.network.random.beta_range", "need lo <= hi"),
+    (random_network(gamma_range="[0.5, 0.1]"), "scenario.network.random.gamma_range", "need lo <= hi"),
+    (
+        random_network(beta_range="[0.1, 1.5]"),
+        "scenario.network.random.beta_range",
+        "must satisfy 0 <= lo <= hi <= 1",
+    ),
+    (
+        random_network(gamma_range="[0.0, 0.5]"),
+        "scenario.network.random.gamma_range",
+        "must satisfy 0 < lo <= hi <= 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, field_path, message", BAD_PAIRS, ids=[f"{path} {message}" for _, path, message in BAD_PAIRS]
+)
+def test_pairs_checked_at_load(tmp_path, config, field_path, message):
+    with pytest.raises(ConfigError, match=re.escape(f"{field_path}: {message}")):
+        sc.load_scenario(write_config(tmp_path, config))
+
+
+@pytest.mark.parametrize(
+    "network, key",
+    [
+        ("  matrix: [[0.1, 0.2], [0.3, 0.1]]\n  gamma_csv: gamma.csv\n", "gamma_csv"),
+        ("  matrix_csv: b.csv\n  gamma_csv: gamma.csv\n  gamma: [0.2, 0.4]\n", "gamma"),
+        ("  random: {n: 4}\n  gamma: 0.3\n", "gamma"),
+    ],
+    ids=["gamma_csv-with-matrix", "gamma-with-matrix_csv", "gamma-with-random"],
+)
+def test_keys_of_unselected_network_source_rejected(tmp_path, network, key):
+    with pytest.raises(ConfigError, match=f"scenario.network.{key}: only allowed with"):
+        sc.load_scenario(write_config(tmp_path, "network:\n" + network))
+
+
+def test_readme_schema_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Scenario schema.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    scenario = sc.scenario_from_dict(yaml.safe_load(block))
+    net = sc.build_network(scenario)
+    assert sc.build_initial_state(scenario, net).x.shape == (net.n,)
+    assert sc.build_partition(scenario, net).m == len(scenario.partition)
+    # Every key is documented, the commented-out ones included.
+    for cls in (
+        sc.Scenario,
+        sc.NetworkConfig,
+        sc.RandomNetworkConfig,
+        sc.InitialStateConfig,
+        sc.PrivacyConfig,
+    ):
+        for field in dataclasses.fields(cls):
+            assert re.search(rf"\b{field.name}:", block), field.name
+
+
+def test_null_values(tmp_path):
+    # Null leaves out a key whose default is None, empties a section and disables the clamp.
+    config = MINIMAL + "  gamma: null\ninitial:\nprivacy:\n  epsilon0: null\n  clamp: null\n"
+    scenario = sc.load_scenario(write_config(tmp_path, config))
+    assert scenario.network.gamma == (0.5, 0.5)
+    assert scenario.initial == sc.InitialStateConfig()
+    assert scenario.privacy == sc.PrivacyConfig(clamp=None)
+    with pytest.raises(ConfigError, match="scenario.dt: expected a finite number, got None"):
+        sc.load_scenario(write_config(tmp_path, MINIMAL + "dt: null\n"))
