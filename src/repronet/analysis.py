@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import CalibrationInfeasibleError, ConfigError, UndefinedRatioError
-from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, infected_derivative, inflow
+from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, infected_derivative
 from .privacy import (
     PrivacySpec,
     TruncGaussParams,
@@ -34,25 +34,25 @@ from .privacy import (
     trunc_gauss_sample,
 )
 from .protocol import run_pipeline  # noqa: F401  (see below)
-from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector, lern_vector: see below)
+from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector: see below)
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
     Partition,
-    _check_positive_infection,
+    _lern_ratios,
     assemble_clusters,
     cern_vector,
+    cluster_average,
     cluster_matrix,
     cluster_weight_sums,
     floored_infections,
     lern_vector,
-    member_sums,
     report_matrix,
 )
 from .seeding import StreamRole, generators, stream_words
 
-# ``run_pipeline``, ``cluster_matrix``, ``lern_vector`` and ``cern_vector`` are
-# not called here; they stay bound in this module because perfbench's traced
-# runs wrap them by these names.
+# ``run_pipeline``, ``cluster_matrix`` and ``cern_vector`` are not called here;
+# they stay bound in this module because perfbench's traced runs wrap them by
+# these names.
 
 __all__ = [
     "EntryAccuracy",
@@ -325,22 +325,6 @@ def rmse_sweep(
     return report
 
 
-def _lerns(net, trajectory: Trajectory, floor, check: bool) -> np.ndarray:
-    """``lern_vector`` at every sample, ``(T, n)``, bit for bit.  A zero floored infection
-    raises ``UndefinedRatioError`` if ``check``, else gives a non-finite ratio to mask."""
-    x_f = floored_infections(trajectory.x, floor)
-    if check:
-        _check_positive_infection(x_f, np.arange(net.n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return trajectory.s * inflow(net.b, x_f) / (net.gamma * x_f)
-
-
-def _cerns(net, trajectory: Trajectory, lerns, partition, floor) -> np.ndarray:
-    """``cern_vector`` at every sample, ``(T, m)``, bit for bit, from the samples' lerns."""
-    weights = net.gamma * floored_infections(trajectory.x, floor)
-    return member_sums(weights * lerns, partition) / member_sums(weights, partition)
-
-
 def trichotomy_counts(
     net: TransmissionNetwork,
     trajectory: Sequence[EpidemicState],
@@ -358,7 +342,8 @@ def trichotomy_counts(
     if not trajectory:
         return 0, 0
     trajectory = Trajectory.from_states(trajectory)
-    gaps = _lerns(net, trajectory, floor, check=False) - 1.0
+    # lern_vector's ratios without its zero-infection check: a zero gives a ratio to mask
+    gaps = _lern_ratios(net, trajectory.s, floored_infections(trajectory.x, floor)) - 1.0
     counted = (trajectory.x > np.asarray(floor, dtype=float)) & (np.abs(gaps) > band)
     agree = np.sign(infected_derivative(net, trajectory, kind)) == np.sign(gaps)
     return int(np.sum(agree & counted)), int(np.sum(counted))
@@ -422,14 +407,15 @@ def threshold_report(
     the dead band whose infected fractions sit strictly above the floor
     (below it, the flooring used for reporting distorts the ratio and the
     threshold statement's premise fails).  Whole-array expressions over the
-    trajectory's arrays, with the bits of ``lern_vector`` and ``cern_vector``.
+    trajectory's arrays: ``lern_vector`` of the trajectory, and the cluster series
+    ``cluster_average`` of those lerns, with the bits of ``cern_vector``.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
     trajectory = Trajectory.from_states(trajectory)
     xs, xdots = trajectory.x, infected_derivative(net, trajectory, kind)
-    lerns = _lerns(net, trajectory, floor, check=True)
-    cerns = _cerns(net, trajectory, lerns, partition, floor)
+    lerns = lern_vector(net, trajectory, floor)
+    cerns = cluster_average(lerns, net.gamma * floored_infections(xs, floor), partition)
     above = xs > np.asarray(floor, dtype=float)
     members = [partition.members(q) for q in range(partition.m)]
 

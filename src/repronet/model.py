@@ -211,9 +211,16 @@ class Trajectory(Sequence):
         return EpidemicState(t=float(self.t[rows]), s=self.s[rows], x=self.x[rows], r=self.r[rows])
 
 
+def _check_size(net: TransmissionNetwork, state: EpidemicState | Trajectory) -> None:
+    if state.n != net.n:
+        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
+
+
 def inflow(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``b @ row`` for each row of ``(T, n)`` fractions: one matrix-vector product per row,
-    since a batched ``x @ b.T`` rounds differently from a row on its own."""
+    """``b @ x`` for ``(n,)`` fractions, and one ``b @ row`` per row of ``(T, n)`` ones, since a
+    batched ``x @ b.T`` rounds differently from a row on its own."""
+    if x.ndim == 1:
+        return b @ x
     out = np.empty(x.shape)
     for k, row in enumerate(x):
         out[k] = b @ row
@@ -223,7 +230,7 @@ def inflow(b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _rhs(b: np.ndarray, gamma: np.ndarray, s: np.ndarray, x: np.ndarray, kind: ModelKind):
     """Right-hand side (s', x', r') stacked on a new axis 0, for ``(n,)`` or ``(T, n)`` arrays."""
     out = np.empty((3,) + x.shape)
-    infection = s * (b @ x if x.ndim == 1 else inflow(b, x))
+    infection = s * inflow(b, x)
     if kind is ModelKind.SIS:
         np.subtract(infection, gamma * x, out=out[1])
         np.negative(out[1], out=out[0])
@@ -243,24 +250,21 @@ def derivative(net: TransmissionNetwork, state: EpidemicState | Trajectory, kind
     For SIS the pair satisfies ``s' + x' == 0`` exactly; for SIR the triple
     satisfies ``x' + (s' + r') == 0`` exactly (sum in that association).
     """
-    if state.n != net.n:
-        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
+    _check_size(net, state)
     return _rhs(net.b, net.gamma, state.s, state.x, kind)
 
 
 def infected_derivative(net: TransmissionNetwork, state: EpidemicState | Trajectory, kind: ModelKind):
     """x' alone, bit for bit ``derivative(net, state, kind)[1]``, without the s' and r' arrays."""
-    if state.n != net.n:
-        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
-    x = state.x
-    rate = net.b @ x if x.ndim == 1 else inflow(net.b, x)
+    _check_size(net, state)
+    rate = inflow(net.b, state.x)
     rate *= state.s  # the infection term s * (B x)
     if kind is ModelKind.SIS:
-        rate -= net.gamma * x
+        rate -= net.gamma * state.x
         return rate
     # SIR: -(s' + r') with s' = -infection and r' = gamma x, as ``_rhs`` builds it
     np.negative(rate, out=rate)
-    rate += net.gamma * x
+    rate += net.gamma * state.x
     return np.negative(rate, out=rate)
 
 
@@ -284,8 +288,7 @@ def integrate(
         raise ConfigError("dt must be positive")
     if steps < 0:
         raise ConfigError("steps must be non-negative")
-    if state0.n != net.n:
-        raise ConfigError(f"state has {state0.n} entities, network has {net.n}")
+    _check_size(net, state0)
 
     max_inflow = float(np.max(net.b.sum(axis=1))) if net.n else 0.0
     if max_inflow > 0.0 and dt > 0.1 / max_inflow:

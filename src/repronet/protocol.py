@@ -43,6 +43,7 @@ from .reproduction import (
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
     Partition,
+    _index,
     assemble,
     cluster_weight_sums,
     floored_infections,
@@ -174,8 +175,7 @@ def step3_preaggregate(
     Thin wrapper over the single-row report kernel: only row i of the
     transmission matrix and the public vectors enter.
     """
-    if not 0 <= i < net.n:
-        raise ConfigError(f"authority index {i} out of range")
+    i = _index(i, net.n, "authority")
     x_f = floored_infections(state.x, floor)
     rows = np.array([i])
     entries = report_matrix(

@@ -16,10 +16,12 @@ number through its spectral radius.
 Cluster-level quantities average entity values with weights
 ``gamma[i] * x[i]`` over the members of each cluster of a partition; row
 sums of the cluster matrix recover the cluster effective reproduction
-numbers, and coarser partitions can be aggregated from finer ones without
-revisiting entity data.  The cluster matrix is assembled from per-entity
-reports (``report_matrix``) by ``assemble``, the same two kernels the
-aggregation pipeline runs, so both give the same bits.
+numbers.  One kernel, ``cluster_average``, does every such average: entity
+lerns to cerns, and fine cerns to coarse ones (weighted by the fine clusters'
+weight sums) without revisiting entity data.  ``lern_vector`` and
+``cern_vector`` take a state or a trajectory.  The cluster matrix is
+assembled from per-entity reports (``report_matrix``) by ``assemble``, the
+same two kernels the aggregation pipeline runs, so both give the same bits.
 
 Infected fractions are floored (default ``1e-9``, standing in for "at least
 one infected individual" when populations are unknown) before any effective
@@ -37,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, ConvergenceError, UndefinedRatioError
-from .model import EpidemicState, TransmissionNetwork
+from .model import EpidemicState, Trajectory, TransmissionNetwork, _check_size, inflow
 
 __all__ = [
     "DEFAULT_INFECTION_FLOOR",
@@ -53,6 +55,7 @@ __all__ = [
     "assemble",
     "assemble_clusters",
     "member_sums",
+    "cluster_average",
     "cluster_weight_sums",
     "lern",
     "lern_vector",
@@ -92,6 +95,13 @@ class LocalRnMatrix:
         object.__setattr__(self, "values", values)
 
 
+def _index(value, size: int, name: str) -> int:
+    """``value`` as an index into ``range(size)``; any other value is a ``ConfigError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < size:
+        raise ConfigError(f"{name} index {value} out of range [0, {size})")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint, exhaustive assignment of the n entities to m clusters.
@@ -115,7 +125,7 @@ class Partition:
             raise ConfigError(f"cluster count {self.m} invalid for {assignment.size} entities")
         if np.any(assignment < 0) or np.any(assignment >= self.m):
             raise ConfigError("cluster indices must lie in [0, m)")
-        present = np.unique(assignment)
+        present, sizes = np.unique(assignment, return_counts=True)
         if present.size != self.m:
             missing = sorted(set(range(self.m)) - set(present.tolist()))
             raise ConfigError(f"empty clusters in partition: {missing}")
@@ -124,7 +134,6 @@ class Partition:
         object.__setattr__(self, "assignment", assignment)
         order = np.argsort(assignment, kind="stable")
         clusters = assignment[order]
-        sizes = np.bincount(assignment)
         slots = np.full((self.m, int(sizes.max())), assignment.size)
         slots[clusters, np.arange(assignment.size) - (np.cumsum(sizes) - sizes)[clusters]] = order
         slots.setflags(write=False)
@@ -135,8 +144,7 @@ class Partition:
         return self.assignment.size
 
     def members(self, q: int) -> np.ndarray:
-        if not 0 <= q < self.m:
-            raise ConfigError(f"cluster index {q} out of range [0, {self.m})")
+        q = _index(q, self.m, "cluster")
         return np.nonzero(self.assignment == q)[0]
 
     @classmethod
@@ -265,16 +273,25 @@ def report_matrix(
 
 
 def member_sums(values: np.ndarray, partition: Partition) -> np.ndarray:
-    """Each row's sums over each cluster's members, ``(rows, n)`` to ``(rows, m)``: running
-    sums in ascending member order (``partition.member_slots``, whose padding slot reads a
-    zero column), the order in which ``np.bincount`` adds one row's weights."""
-    padded = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
+    """Sums over each cluster's members, ``(n,)`` to ``(m,)`` or ``(rows, n)`` to ``(rows, m)``,
+    added left to right in ascending member order at every cluster size (``np.sum`` adds 8 or
+    more pairwise); the padding slot of ``partition.member_slots`` reads a zero column."""
+    if values.shape[-1] != partition.n:
+        raise ConfigError(f"values have {values.shape[-1]} entities, partition has {partition.n}")
+    rows = values.reshape(-1, partition.n)
+    padded = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)
     slots = partition.member_slots
     sums = np.empty((len(padded), partition.m))
     step = max(1, _GATHER_BLOCK // slots.size)
     for k in range(0, len(padded), step):
         sums[k : k + step] = np.add.accumulate(padded[k : k + step, slots], axis=2)[..., -1]
-    return sums
+    return sums.reshape(values.shape[:-1] + (partition.m,))
+
+
+def cluster_average(values: np.ndarray, weights: np.ndarray, partition: Partition) -> np.ndarray:
+    """Each cluster's ``weights``-weighted average of its members' ``values``, ``(n,)`` to ``(m,)``
+    or ``(T, n)`` to ``(T, m)``: entity lerns to cerns, and fine cerns to coarse ones."""
+    return member_sums(weights * values, partition) / member_sums(weights, partition)
 
 
 def assemble(reports: np.ndarray, denom: float) -> np.ndarray:
@@ -306,8 +323,15 @@ def assemble_clusters(reports: np.ndarray, denoms: np.ndarray, partition: Partit
 
 def cluster_weight_sums(gamma: np.ndarray, x_f: np.ndarray, partition: Partition) -> np.ndarray:
     """``sum(gamma[i] * x[i])`` over each cluster's members, in ascending member order."""
-    weights = np.asarray(gamma, dtype=float) * x_f
-    return np.bincount(partition.assignment, weights=weights, minlength=partition.m)
+    return member_sums(np.asarray(gamma, dtype=float) * x_f, partition)
+
+
+def _effective_row(net: TransmissionNetwork, state: EpidemicState, i: int, floor) -> np.ndarray:
+    """Row i of the effective matrix, once the state's size and the index are checked."""
+    _check_size(net, state)
+    rows = np.array([_index(i, net.n, "entity")])
+    x_f = floored_infections(state.x, floor)
+    return effective_rows(net.b[rows], net.gamma[rows], state.s[rows], x_f, rows)[0]
 
 
 def local_distributed_ern(
@@ -318,9 +342,7 @@ def local_distributed_ern(
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> float:
     """Effective reproduction number contributed by entity j to entity i."""
-    x_f = floored_infections(state.x, floor)
-    rows = np.array([i])
-    return float(effective_rows(net.b[rows], net.gamma[rows], state.s[rows], x_f, rows)[0, j])
+    return float(_effective_row(net, state, i, floor)[_index(j, net.n, "entity")])
 
 
 def lern(
@@ -330,29 +352,32 @@ def lern(
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> float:
     """Local effective reproduction number of entity i (row sum)."""
-    x_f = floored_infections(state.x, floor)
-    rows = np.array([i])
-    return float(np.sum(effective_rows(net.b[rows], net.gamma[rows], state.s[rows], x_f, rows)))
+    return float(np.sum(_effective_row(net, state, i, floor)))
 
 
 def lbrn(net: TransmissionNetwork, i: int) -> float:
     """Local basic reproduction number of entity i."""
+    i = _index(i, net.n, "entity")
     return float(np.sum(net.b[i] / net.gamma[i]))
+
+
+def _lern_ratios(net: TransmissionNetwork, s: np.ndarray, x_f: np.ndarray) -> np.ndarray:
+    """``s * (B x_f) / (gamma * x_f)``, ``(n,)`` or ``(T, n)``, with no check for a zero in ``x_f``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s * inflow(net.b, x_f) / (net.gamma * x_f)
 
 
 def lern_vector(
     net: TransmissionNetwork,
-    state: EpidemicState,
+    state: EpidemicState | Trajectory,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> np.ndarray:
-    """All local effective reproduction numbers at once.
-
-    Fast path for trajectory scans; equals ``lern`` entrywise up to
-    summation-order round-off.
-    """
+    """All local effective reproduction numbers, ``(n,)`` at a state or ``(T, n)`` along a
+    trajectory (each row with its state's bits); ``lern`` up to summation-order round-off."""
+    _check_size(net, state)
     x_f = floored_infections(state.x, floor)
     _check_positive_infection(x_f, np.arange(net.n))
-    return state.s * (net.b @ x_f) / (net.gamma * x_f)
+    return _lern_ratios(net, state.s, x_f)
 
 
 def build_matrix(
@@ -367,23 +392,20 @@ def build_matrix(
     ``clamp=(lo, hi)`` projects entries into the given range (the reporting
     pipeline uses ``DEFAULT_CLAMP``); it is off by default for library use.
     """
-    if kind is MatrixKind.BASIC:
+    if kind is not MatrixKind.BASIC:
+        if state is None:
+            raise ConfigError(f"{kind.value} matrix requires a state")
+        _check_size(net, state)
+    if kind is MatrixKind.EFFECTIVE:
+        x_f = floored_infections(state.x, floor)
+        values = effective_rows(net.b, net.gamma, state.s, x_f, np.arange(net.n), clamp)
+    else:
         values = net.b / net.gamma[:, None]
+        if kind is MatrixKind.PSEUDO_EFFECTIVE:
+            values = state.s[:, None] * values
         if clamp is not None:
             values = np.clip(values, clamp[0], clamp[1])
-        return LocalRnMatrix(kind=kind, values=values, t=None)
-    if state is None:
-        raise ConfigError(f"{kind.value} matrix requires a state")
-    if state.n != net.n:
-        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
-    if kind is MatrixKind.PSEUDO_EFFECTIVE:
-        values = state.s[:, None] * net.b / net.gamma[:, None]
-        if clamp is not None:
-            values = np.clip(values, clamp[0], clamp[1])
-        return LocalRnMatrix(kind=kind, values=values, t=state.t)
-    x_f = floored_infections(state.x, floor)
-    values = effective_rows(net.b, net.gamma, state.s, x_f, np.arange(net.n), clamp)
-    return LocalRnMatrix(kind=kind, values=values, t=state.t)
+    return LocalRnMatrix(kind=kind, values=values, t=None if kind is MatrixKind.BASIC else state.t)
 
 
 def spectral_radius(matrix: np.ndarray, rtol: float = 1e-12, max_iter: int = 10_000) -> float:
@@ -442,13 +464,10 @@ def spectral_radius(matrix: np.ndarray, rtol: float = 1e-12, max_iter: int = 10_
 
 
 def network_reproduction(net: TransmissionNetwork, state: EpidemicState | None = None) -> float:
-    """Network-level reproduction number: basic if no state, else effective."""
-    basic = net.b / net.gamma[:, None]
-    if state is None:
-        return spectral_radius(basic)
-    if state.n != net.n:
-        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
-    return spectral_radius(state.s[:, None] * basic)
+    """Network-level reproduction number: basic if no state, else effective (the spectral
+    radius of the pseudo-effective matrix, to which the effective one is similar)."""
+    kind = MatrixKind.BASIC if state is None else MatrixKind.PSEUDO_EFFECTIVE
+    return spectral_radius(build_matrix(net, state, kind).values)
 
 
 def cern(
@@ -459,26 +478,20 @@ def cern(
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> float:
     """Cluster effective reproduction number of cluster q."""
-    if not 0 <= q < partition.m:
-        raise ConfigError(f"cluster index {q} out of range [0, {partition.m})")
+    q = _index(q, partition.m, "cluster")
     return float(cern_vector(net, state, partition, floor)[q])
 
 
 def cern_vector(
     net: TransmissionNetwork,
-    state: EpidemicState,
+    state: EpidemicState | Trajectory,
     partition: Partition,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> np.ndarray:
-    """All cluster effective reproduction numbers at once.
-
-    Weighted average of the members' entity-level values with weights
-    ``gamma[i] * x[i]``.
-    """
-    x_f = floored_infections(state.x, floor)
-    weighted = net.gamma * x_f * lern_vector(net, state, floor)
-    totals = np.bincount(partition.assignment, weights=weighted, minlength=partition.m)
-    return totals / cluster_weight_sums(net.gamma, x_f, partition)
+    """All cluster effective reproduction numbers, ``(m,)`` at a state or ``(T, m)`` along a
+    trajectory: ``cluster_average`` of the members' lerns with weights ``gamma[i] * x[i]``."""
+    lerns = lern_vector(net, state, floor)
+    return cluster_average(lerns, net.gamma * floored_infections(state.x, floor), partition)
 
 
 def cluster_matrix(
@@ -496,6 +509,7 @@ def cluster_matrix(
     entities, then ``assemble`` per cluster, so the privacy-off pipeline
     output is bit-identical.
     """
+    _check_size(net, state)
     x_f = floored_infections(state.x, floor)
     reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
     values = assemble_clusters(reports, cluster_weight_sums(net.gamma, x_f, partition), partition)
@@ -511,29 +525,25 @@ def coarsen(
 ) -> np.ndarray:
     """Coarse-cluster effective reproduction numbers from fine-cluster ones.
 
-    ``mapping`` sends each fine cluster index to a coarse cluster index and
-    must cover every fine cluster; every coarse index must be hit.  The
-    result equals a direct computation on the merged clusters: coarse values
-    are weight-averaged fine values with weights ``sum(gamma[i] * x[i])``
-    over each fine cluster.
+    ``mapping`` sends each fine cluster index to an integer coarse cluster
+    index; its keys (or positions) are exactly the fine clusters, and every
+    coarse index must be hit.  The result equals a direct computation on the
+    merged clusters: ``cluster_average`` of the fine values over the coarse
+    partition, with weights ``sum(gamma[i] * x[i])`` over each fine cluster.
     """
     if isinstance(mapping, Mapping):
-        missing = sorted(set(range(fine.m)) - set(mapping))
-        if missing:
-            raise ConfigError(f"mapping does not cover fine clusters {missing}")
-        target = np.array([int(mapping[q]) for q in range(fine.m)])
-    else:
-        target = np.asarray(mapping, dtype=int)
-        if target.shape != (fine.m,):
-            raise ConfigError(
-                f"mapping must assign all {fine.m} fine clusters, got shape {target.shape}"
-            )
-    if np.any(target < 0):
-        raise ConfigError("coarse cluster indices must be >= 0")
+        if set(mapping) != set(range(fine.m)):
+            raise ConfigError(f"mapping keys {sorted(mapping, key=str)} are not the fine clusters")
+        mapping = [mapping[q] for q in range(fine.m)]
+    target = np.asarray(mapping)
+    if target.shape != (fine.m,):
+        raise ConfigError(f"mapping must assign all {fine.m} fine clusters, got shape {target.shape}")
+    if target.dtype.kind not in "iu" or np.any(target < 0):
+        raise ConfigError(f"coarse cluster indices must be integers >= 0, got {target.tolist()}")
     m_coarse = int(target.max()) + 1
     if set(target.tolist()) != set(range(m_coarse)):
         raise ConfigError("mapping must be surjective onto 0..max coarse index")
 
+    cerns = cern_vector(net, state, fine, floor)
     fine_weights = cluster_weight_sums(net.gamma, floored_infections(state.x, floor), fine)
-    weighted = fine_weights * cern_vector(net, state, fine, floor)
-    return np.bincount(target, weights=weighted) / np.bincount(target, weights=fine_weights)
+    return cluster_average(cerns, fine_weights, Partition(m=m_coarse, assignment=target))

@@ -9,12 +9,17 @@ references their array versions must reproduce bit for bit:
 validated state per step), with the per-state ``_rhs`` and ``derivative``
 they called, and ``write_states_csv_reference`` and
 ``write_rn_csv_reference`` (one ``csv.writer`` row per node or record).
+The per-quantity kernels from before ``lern_vector`` and ``cern_vector``
+took trajectories and every cluster average ran through ``member_sums`` are
+kept too: ``lern_vector_reference``, ``cern_vector_reference`` (over
+``np.bincount``), ``coarsen_reference``, ``network_reproduction_reference``,
+and the trajectory kernels ``lerns_reference`` and ``cerns_reference``.
 """
 
 import csv
 import math
 import warnings
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import integrate as scipy_integrate
@@ -38,15 +43,18 @@ from repronet.model import (
     StabilityWarning,
     Trajectory,
     TransmissionNetwork,
+    inflow,
 )
 from repronet.privacy import PrivacySpec
 from repronet.protocol import run_pipeline
 from repronet.reproduction import (
     DEFAULT_INFECTION_FLOOR,
     Partition,
-    cern_vector,
+    _check_positive_infection,
     cluster_matrix,
-    lern_vector,
+    floored_infections,
+    member_sums,
+    spectral_radius as package_spectral_radius,
 )
 
 
@@ -478,8 +486,8 @@ def threshold_report_reference(
     times = np.array([state.t for state in trajectory])
     n, m = net.n, partition.m
 
-    lerns = np.stack([lern_vector(net, state, floor) for state in trajectory])
-    cerns = np.stack([cern_vector(net, state, partition, floor) for state in trajectory])
+    lerns = np.stack([lern_vector_reference(net, state, floor) for state in trajectory])
+    cerns = np.stack([cern_vector_reference(net, state, partition, floor) for state in trajectory])
     xs = np.stack([state.x for state in trajectory])
     xdots = np.stack([derivative(net, state, kind)[1] for state in trajectory])
     floor_arr = np.broadcast_to(np.asarray(floor, dtype=float), (n,))
@@ -541,3 +549,89 @@ def write_rn_csv_reference(path, records: Iterable[tuple]) -> None:
         writer.writerow(["t", "i", "j", "value", "kind"])
         for t, i, j, value, kind in records:
             writer.writerow([_fmt(t), i, j, _fmt(value), kind])
+
+
+def lern_vector_reference(
+    net: TransmissionNetwork,
+    state: EpidemicState,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+) -> np.ndarray:
+    """``reproduction.lern_vector`` of one state, as it was before it took trajectories."""
+    x_f = floored_infections(state.x, floor)
+    _check_positive_infection(x_f, np.arange(net.n))
+    return state.s * (net.b @ x_f) / (net.gamma * x_f)
+
+
+def cluster_weight_sums_reference(gamma: np.ndarray, x_f: np.ndarray, partition: Partition) -> np.ndarray:
+    """``sum(gamma[i] * x[i])`` over each cluster's members, in ascending member order."""
+    weights = np.asarray(gamma, dtype=float) * x_f
+    return np.bincount(partition.assignment, weights=weights, minlength=partition.m)
+
+
+def cern_vector_reference(
+    net: TransmissionNetwork,
+    state: EpidemicState,
+    partition: Partition,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+) -> np.ndarray:
+    """``reproduction.cern_vector`` of one state, over ``np.bincount``."""
+    x_f = floored_infections(state.x, floor)
+    weighted = net.gamma * x_f * lern_vector_reference(net, state, floor)
+    totals = np.bincount(partition.assignment, weights=weighted, minlength=partition.m)
+    return totals / cluster_weight_sums_reference(net.gamma, x_f, partition)
+
+
+def coarsen_reference(
+    net: TransmissionNetwork,
+    state: EpidemicState,
+    fine: Partition,
+    mapping: Mapping[int, int] | Sequence[int],
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+) -> np.ndarray:
+    """``reproduction.coarsen`` over ``np.bincount``."""
+    if isinstance(mapping, Mapping):
+        missing = sorted(set(range(fine.m)) - set(mapping))
+        if missing:
+            raise ConfigError(f"mapping does not cover fine clusters {missing}")
+        target = np.array([int(mapping[q]) for q in range(fine.m)])
+    else:
+        target = np.asarray(mapping, dtype=int)
+        if target.shape != (fine.m,):
+            raise ConfigError(
+                f"mapping must assign all {fine.m} fine clusters, got shape {target.shape}"
+            )
+    if np.any(target < 0):
+        raise ConfigError("coarse cluster indices must be >= 0")
+    m_coarse = int(target.max()) + 1
+    if set(target.tolist()) != set(range(m_coarse)):
+        raise ConfigError("mapping must be surjective onto 0..max coarse index")
+
+    fine_weights = cluster_weight_sums_reference(net.gamma, floored_infections(state.x, floor), fine)
+    weighted = fine_weights * cern_vector_reference(net, state, fine, floor)
+    return np.bincount(target, weights=weighted) / np.bincount(target, weights=fine_weights)
+
+
+def network_reproduction_reference(net: TransmissionNetwork, state: EpidemicState | None = None) -> float:
+    """``reproduction.network_reproduction`` with its own matrix expressions."""
+    basic = net.b / net.gamma[:, None]
+    if state is None:
+        return package_spectral_radius(basic)
+    if state.n != net.n:
+        raise ConfigError(f"state has {state.n} entities, network has {net.n}")
+    return package_spectral_radius(state.s[:, None] * basic)
+
+
+def lerns_reference(net, trajectory: Trajectory, floor, check: bool) -> np.ndarray:
+    """``lern_vector`` at every sample, ``(T, n)``, bit for bit.  A zero floored infection
+    raises ``UndefinedRatioError`` if ``check``, else gives a non-finite ratio to mask."""
+    x_f = floored_infections(trajectory.x, floor)
+    if check:
+        _check_positive_infection(x_f, np.arange(net.n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return trajectory.s * inflow(net.b, x_f) / (net.gamma * x_f)
+
+
+def cerns_reference(net, trajectory: Trajectory, lerns, partition, floor) -> np.ndarray:
+    """``cern_vector`` at every sample, ``(T, m)``, bit for bit, from the samples' lerns."""
+    weights = net.gamma * floored_infections(trajectory.x, floor)
+    return member_sums(weights * lerns, partition) / member_sums(weights, partition)

@@ -7,7 +7,7 @@ import oracles
 import repronet as rn
 from conftest import make_network, make_state
 from repronet.exceptions import ConfigError, ConvergenceError, UndefinedRatioError
-from repronet.reproduction import MatrixKind, cern_vector, lern_vector
+from repronet.reproduction import MatrixKind, cern_vector, floored_infections, lern_vector, report_matrix
 
 
 def test_absent_edge_gives_zero(rng):
@@ -296,6 +296,66 @@ def test_coarsen_mapping_validation(rng):
         rn.coarsen(net, state, fine, {0: 0})  # cluster 1 unmapped
     with pytest.raises(ConfigError):
         rn.coarsen(net, state, fine, [0, 2])  # coarse index 1 never hit
+    with pytest.raises(ConfigError, match="integers"):
+        rn.coarsen(net, state, fine, [0.9, 0.2])
+    with pytest.raises(ConfigError, match="integers"):
+        rn.coarsen(net, state, fine, {0: 0, 1: 1.7})
+    with pytest.raises(ConfigError, match="are not the fine clusters"):
+        rn.coarsen(net, state, fine, {0: 0, 1: 0, 7: 3})
+
+
+def test_partition_size_must_match_network(rng):
+    net = make_network(rng, 4)
+    state = make_state(rng, 4)
+    short = rn.Partition.from_blocks([[0, 1], [2]])
+    long = rn.Partition.from_blocks([[0, 1], [2, 3], [4]])
+    x_f = floored_infections(state.x)
+    rows = np.arange(4)
+    for partition in (short, long):
+        with pytest.raises(ConfigError, match="partition has"):
+            report_matrix(net.b, net.gamma, state.s, x_f, rows, partition)
+        with pytest.raises(ConfigError, match="partition has"):
+            rn.step3_preaggregate(net, state, partition, 3)
+        with pytest.raises(ConfigError, match="partition has"):
+            rn.threshold_report(net, [state, state], partition)
+        with pytest.raises(ConfigError, match="partition has"):
+            cern_vector(net, state, partition)
+        with pytest.raises(ConfigError, match="partition has"):
+            rn.cluster_matrix(net, state, partition)
+        with pytest.raises(ConfigError, match="partition has"):
+            rn.coarsen(net, state, partition, list(range(partition.m)))
+
+
+def test_state_size_must_match_network(rng):
+    net = make_network(rng, 4)
+    state = make_state(rng, 3)
+    partition = rn.Partition.whole(4)
+    calls = [
+        lambda: lern_vector(net, state),
+        lambda: cern_vector(net, state, partition),
+        lambda: rn.cluster_matrix(net, state, partition),
+        lambda: rn.lern(net, state, 0),
+        lambda: rn.local_distributed_ern(net, state, 0, 1),
+        lambda: rn.network_reproduction(net, state),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="state has 3 entities, network has 4"):
+            call()
+
+
+@pytest.mark.parametrize("index", [-1, 4, 1.0, 0.5, True, "0"])
+def test_entity_index_checked(rng, index):
+    net = make_network(rng, 4)
+    state = make_state(rng, 4)
+    with pytest.raises(ConfigError, match="entity index"):
+        rn.lern(net, state, index)
+    with pytest.raises(ConfigError, match="entity index"):
+        rn.lbrn(net, index)
+    with pytest.raises(ConfigError, match="entity index"):
+        rn.local_distributed_ern(net, state, index, 0)
+    with pytest.raises(ConfigError, match="entity index"):
+        rn.local_distributed_ern(net, state, 0, index)
+    assert rn.lern(net, state, np.int64(3)) == rn.lern(net, state, 3)
 
 
 def test_partition_validation():
@@ -342,4 +402,91 @@ def test_similarity_invariance_property(seed, n):
     eff = rn.build_matrix(net, state, MatrixKind.EFFECTIVE)
     assert rn.spectral_radius(pseudo.values) == pytest.approx(
         rn.spectral_radius(eff.values), abs=1e-9
+    )
+
+
+def _same_bits(compute, reference):
+    """``compute()`` has the shape and bytes of ``reference()``, or both raise
+    ``UndefinedRatioError``."""
+    try:
+        expected = np.asarray(reference())
+    except UndefinedRatioError:
+        with pytest.raises(UndefinedRatioError):
+            compute()
+        return
+    actual = np.asarray(compute())
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    big=st.integers(8, 20),
+    rest=st.lists(st.integers(1, 10), max_size=3),
+    floor_kind=st.sampled_from(["zero", "default", "vector"]),
+    zero_node=st.booleans(),
+)
+@example(seed=1, big=8, rest=[], floor_kind="zero", zero_node=True)
+@example(seed=2, big=9, rest=[3, 1], floor_kind="vector", zero_node=True)
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_frozen_references_bitwise(seed, big, rest, floor_kind, zero_node):
+    # One cluster of 8 or more members: numpy's pairwise summation starts
+    # rounding differently from a running sum at 8 elements.
+    rng = np.random.default_rng(seed)
+    sizes = [big] + rest
+    n = sum(sizes)
+    net = make_network(rng, n)
+    assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    fine = rn.Partition(m=len(sizes), assignment=assignment)
+    floor = {"zero": 0.0, "default": 1e-9, "vector": rng.uniform(1e-9, 1e-3, n)}[floor_kind]
+    states = [make_state(rng, n, t=0.5 * k, x=(0.0, 0.3), with_r=True) for k in range(4)]
+    if zero_node:
+        node = int(rng.integers(n))
+        x = np.array(states[1].x)
+        x[node] = 0.0
+        states[1] = rn.EpidemicState(t=states[1].t, s=1.0 - x - states[1].r, x=x, r=states[1].r)
+    trajectory = rn.Trajectory.from_states(states)
+    m_coarse = int(rng.integers(1, fine.m + 1))
+    mapping = rng.permutation(np.arange(fine.m) % m_coarse).tolist()
+
+    _same_bits(lambda: rn.network_reproduction(net), lambda: oracles.network_reproduction_reference(net))
+    for state in states:
+        x_f = floored_infections(state.x, floor)
+        _same_bits(
+            lambda: rn.reproduction.cluster_weight_sums(net.gamma, x_f, fine),
+            lambda: oracles.cluster_weight_sums_reference(net.gamma, x_f, fine),
+        )
+        _same_bits(lambda: lern_vector(net, state, floor), lambda: oracles.lern_vector_reference(net, state, floor))
+        _same_bits(
+            lambda: cern_vector(net, state, fine, floor),
+            lambda: oracles.cern_vector_reference(net, state, fine, floor),
+        )
+        _same_bits(
+            lambda: rn.coarsen(net, state, fine, mapping, floor),
+            lambda: oracles.coarsen_reference(net, state, fine, mapping, floor),
+        )
+        _same_bits(
+            lambda: rn.coarsen(net, state, fine, dict(enumerate(mapping)), floor),
+            lambda: oracles.coarsen_reference(net, state, fine, mapping, floor),
+        )
+        _same_bits(
+            lambda: rn.network_reproduction(net, state),
+            lambda: oracles.network_reproduction_reference(net, state),
+        )
+    _same_bits(
+        lambda: lern_vector(net, trajectory, floor),
+        lambda: oracles.lerns_reference(net, trajectory, floor, check=True),
+    )
+    _same_bits(
+        lambda: lern_vector(net, trajectory, floor),
+        lambda: np.stack([oracles.lern_vector_reference(net, state, floor) for state in states]),
+    )
+    _same_bits(
+        lambda: cern_vector(net, trajectory, fine, floor),
+        lambda: np.stack([oracles.cern_vector_reference(net, state, fine, floor) for state in states]),
+    )
+    _same_bits(
+        lambda: cern_vector(net, trajectory, fine, floor),
+        lambda: oracles.cerns_reference(
+            net, trajectory, oracles.lerns_reference(net, trajectory, floor, check=True), fine, floor
+        ),
     )
