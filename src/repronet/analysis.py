@@ -12,7 +12,7 @@ mean and zero variance.  The RMSE harness reproduces, bit for bit, many
 private pipeline runs per state over a privacy-level grid and reports
 per-entry and aggregate errors; the percentage error is RMSE over the mean
 magnitude of the exact entries.  It computes in arrays instead of running
-the actors: each authority draws its noise from its own pipeline stream,
+the pipeline: each authority draws its noise from its own pipeline stream,
 and the shuffle is skipped because assembly sorts before it sums, so no
 order of the reports can change the aggregate (see ``rmse_sweep``).
 """
@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import CalibrationInfeasibleError, ConfigError, UndefinedRatioError
-from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, infected_derivative
+from .model import (
+    EpidemicState,
+    ModelKind,
+    Trajectory,
+    TransmissionNetwork,
+    _check_size,
+    infected_derivative,
+)
 from .privacy import (
     PrivacySpec,
     TruncGaussParams,
@@ -128,6 +135,7 @@ def entry_noise_params(
     randomizer passes it through unchanged).  Each member's sigma comes from
     its own calibration, driven by its own report support pattern.
     """
+    _check_size(net, state)
     members = partition.members(q)
     x_f = floored_infections(state.x, floor)
     reports = report_matrix(
@@ -342,6 +350,7 @@ def trichotomy_counts(
     if not trajectory:
         return 0, 0
     trajectory = Trajectory.from_states(trajectory)
+    _check_size(net, trajectory)
     # lern_vector's ratios without its zero-infection check: a zero gives a ratio to mask
     gaps = _lern_ratios(net, trajectory.s, floored_infections(trajectory.x, floor)) - 1.0
     counted = (trajectory.x > np.asarray(floor, dtype=float)) & (np.abs(gaps) > band)

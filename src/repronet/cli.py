@@ -241,6 +241,9 @@ def main(argv=None) -> int:
     except RepronetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)
+    except OSError as exc:  # a path named on the command line or in the scenario is unusable
+        print(f"error: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
-"""Round-structured actor simulation of the private aggregation pipeline.
+"""The private aggregation pipeline, one epoch per ``run_pipeline`` call.
 
-One epoch proceeds through seven barrier-synchronized steps:
+The paper's parties are local authorities, one shuffler and one aggregator
+per cluster, a data center and the central authority.  ``run_pipeline``
+runs their seven steps itself, in order:
 
 1. the central authority broadcasts a request carrying the partition and
    the public data (recovery rates and current s/x fractions);
@@ -11,19 +13,20 @@ One epoch proceeds through seven barrier-synchronized steps:
    are one single-row ``reproduction.report_matrix`` call);
 4. with privacy on, it randomizes the report with the bounded Gaussian
    local randomizer;
-5. each cluster's shuffler anonymizes its members' reports and applies a
-   uniform random permutation;
-6. each cluster aggregator divides the entrywise sum of its shuffled batch
-   by ``sum_{k in cluster} gamma_k * x_k`` through ``reproduction.assemble``
-   (summing report entries in ascending value order, which makes the result
-   bit-identical under any permutation of the batch, and equal to
-   ``cluster_matrix`` with privacy off);
-7. the data center stacks the cluster vectors into the m-by-m matrix and
-   hands it to the central authority.
+5. each cluster's reports are anonymized and uniformly permuted with that
+   cluster's shuffler stream;
+6. ``step6_assemble`` divides the entrywise sum of a cluster's shuffled
+   batch by ``sum_{k in cluster} gamma_k * x_k`` through
+   ``reproduction.assemble`` (summing report entries in ascending value
+   order, which makes the result bit-identical under any permutation of the
+   batch, and equal to ``cluster_matrix`` with privacy off);
+7. the cluster vectors are stacked into the m-by-m matrix handed to the
+   central authority.
 
-No fault tolerance is modeled: a missing report is a hard error.  Actors
-communicate only through messages; a local authority object is constructed
-from its own transmission row, never from the full matrix.
+A ``LocalAuthority`` is constructed from its own transmission row, never
+from the full matrix, and sees only the request.  Every message between
+parties is a dataclass below; with a ``trace`` sink, ``run_pipeline``
+writes one audit line per message.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import IO
 import numpy as np
 
 from .exceptions import ConfigError, ProtocolError
-from .model import EpidemicState, TransmissionNetwork
+from .model import EpidemicState, TransmissionNetwork, _check_size
 from .privacy import CalibratedMechanism, PrivacySpec, bounded_gaussian_randomize, shuffle
 from .reproduction import (
     DEFAULT_INFECTION_FLOOR,
@@ -66,9 +69,6 @@ __all__ = [
     "step3_preaggregate",
     "step6_assemble",
     "LocalAuthority",
-    "Shuffler",
-    "ClusterAggregator",
-    "DataCenter",
     "run_pipeline",
 ]
 
@@ -162,6 +162,12 @@ def payload_digest(message) -> str:
     return h.hexdigest()[:16]
 
 
+def _request(net, state, partition, epoch: int) -> Request:
+    """Step 1's broadcast: the partition and the public data of ``state``."""
+    public = PublicData(gamma=net.gamma, s=state.s, x=state.x)
+    return Request(partition=partition, t=float(state.t), epoch=epoch, public=public)
+
+
 def step3_preaggregate(
     net: TransmissionNetwork,
     state: EpidemicState,
@@ -170,18 +176,14 @@ def step3_preaggregate(
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
     clamp: tuple[float, float] | None = None,
 ) -> LocalAggVector:
-    """Exact report vector of authority i.
+    """Exact report vector of authority i: its ``LocalAuthority`` without privacy.
 
-    Thin wrapper over the single-row report kernel: only row i of the
-    transmission matrix and the public vectors enter.
+    Only row i of the transmission matrix and the public vectors enter.
     """
+    _check_size(net, state)
     i = _index(i, net.n, "authority")
-    x_f = floored_infections(state.x, floor)
-    rows = np.array([i])
-    entries = report_matrix(
-        net.b[rows], net.gamma[rows], state.s[rows], x_f, rows, partition, clamp
-    )[0]
-    return LocalAggVector(entries=entries, t=state.t, authority_id=i, private=False)
+    authority = LocalAuthority(i, net.b[i], float(net.gamma[i]), None, None, floor, clamp)
+    return authority.handle(_request(net, state, partition, epoch=0)).vector
 
 
 def step6_assemble(
@@ -198,6 +200,8 @@ def step6_assemble(
     ``sum(gamma * x)`` over members; the result is bit-identical for every
     permutation of the batch.
     """
+    if batch.cluster != q:
+        raise ProtocolError(f"cluster {q} received the batch of cluster {batch.cluster}")
     members = partition.members(q)
     if len(batch.vectors) != members.size:
         raise ProtocolError(
@@ -256,94 +260,6 @@ class LocalAuthority:
         return Report(vector=vector)
 
 
-class Shuffler:
-    """Anonymizes and uniformly permutes its cluster's reports."""
-
-    def __init__(self, cluster: int, rng: np.random.Generator):
-        self.cluster = cluster
-        self.rng = rng
-        self._reports: list[LocalAggVector] = []
-        self._t: float | None = None
-
-    def receive(self, message) -> None:
-        if not isinstance(message, Report):
-            raise ProtocolError(
-                f"shuffler {self.cluster} expected a Report, got {type(message).__name__}"
-            )
-        self._reports.append(message.vector)
-        self._t = message.vector.t
-
-    def flush(self) -> ShuffledBatch:
-        if not self._reports:
-            raise ProtocolError(f"shuffler {self.cluster} has no reports to shuffle")
-        batch = ShuffledBatch(
-            cluster=self.cluster, t=self._t, vectors=tuple(shuffle(self._reports, self.rng))
-        )
-        self._reports = []
-        return batch
-
-
-class ClusterAggregator:
-    """Assembles the cluster's vector from the shuffled batch."""
-
-    def __init__(self, cluster: int, floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR):
-        self.cluster = cluster
-        self.floor = floor
-        self._request: Request | None = None
-
-    def observe(self, message) -> None:
-        if not isinstance(message, Request):
-            raise ProtocolError(
-                f"aggregator {self.cluster} expected a Request, got {type(message).__name__}"
-            )
-        self._request = message
-
-    def handle(self, message) -> ClusterVector:
-        if not isinstance(message, ShuffledBatch):
-            raise ProtocolError(
-                f"aggregator {self.cluster} expected a ShuffledBatch, got {type(message).__name__}"
-            )
-        if message.cluster != self.cluster:
-            raise ProtocolError(
-                f"aggregator {self.cluster} received a batch for cluster {message.cluster}"
-            )
-        if self._request is None:
-            raise ProtocolError(f"aggregator {self.cluster} has no public data yet")
-        req = self._request
-        values = step6_assemble(
-            message, req.partition, req.public.gamma, req.public.x, self.cluster, self.floor
-        )
-        return ClusterVector(cluster=self.cluster, t=message.t, values=values)
-
-
-class DataCenter:
-    """Stacks cluster vectors into the final matrix."""
-
-    def __init__(self, m: int, private: bool):
-        self.m = m
-        self.private = private
-        self._rows: dict[int, ClusterVector] = {}
-
-    def receive(self, message) -> None:
-        if not isinstance(message, ClusterVector):
-            raise ProtocolError(
-                f"data center expected a ClusterVector, got {type(message).__name__}"
-            )
-        if message.cluster in self._rows:
-            raise ProtocolError(f"duplicate cluster vector for cluster {message.cluster}")
-        self._rows[message.cluster] = message
-
-    def flush(self) -> MatrixMessage:
-        missing = sorted(set(range(self.m)) - set(self._rows))
-        if missing:
-            raise ProtocolError(f"missing cluster vectors for clusters {missing}")
-        t = self._rows[0].t
-        values = np.stack([self._rows[q].values for q in range(self.m)])
-        return MatrixMessage(
-            matrix=ClusterRnMatrix(values=values, t=t, private=self.private)
-        )
-
-
 def _record(sink: IO[str] | None, step: int, sender: str, receiver: str, message) -> None:
     """Write one message's audit line to ``sink``, if there is one."""
     if sink is not None:
@@ -363,81 +279,47 @@ def run_pipeline(
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
     clamp: tuple[float, float] | None = None,
     trace: IO[str] | None = None,
-    scheduler_rng: np.random.Generator | None = None,
 ) -> ClusterRnMatrix:
     """Execute one epoch of the aggregation pipeline.
 
     With ``spec=None`` the randomizer step is skipped and the result equals
-    the directly computed cluster matrix.  ``scheduler_rng``, when given,
-    randomizes the order in which actors are serviced inside each step;
-    outputs are independent of that order.
+    the directly computed cluster matrix.
     """
     if state.n != net.n or partition.n != net.n:
         raise ConfigError("network, state, and partition sizes must agree")
     private = spec is not None
-
     rngs = (
         streams(master_seed, StreamRole.LOCAL_AUTHORITY, range(net.n), epoch, (trial,))
         if private
         else [None] * net.n
     )
-    authorities = [
-        LocalAuthority(
-            ident=i,
-            b_row=net.b[i],
-            gamma_i=float(net.gamma[i]),
-            spec=spec,
-            rng=rng,
-            floor=floor,
-            clamp=clamp,
-        )
-        for i, rng in enumerate(rngs)
-    ]
-    shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
-    shufflers = {q: Shuffler(q, rng) for q, rng in enumerate(shuffler_rngs)}
-    aggregators = {q: ClusterAggregator(q, floor=floor) for q in range(partition.m)}
-    center = DataCenter(partition.m, private=private)
-
-    def ordering(count: int) -> list[int]:
-        order = list(range(count))
-        if scheduler_rng is not None:
-            scheduler_rng.shuffle(order)
-        return order
-
-    request = Request(
-        partition=partition,
-        t=float(state.t),
-        epoch=epoch,
-        public=PublicData(gamma=net.gamma, s=state.s, x=state.x),
-    )
+    request = _request(net, state, partition, epoch)
+    t = request.t
     for q in range(partition.m):
         _record(trace, 1, "central_authority", f"cluster_aggregator:{q}", request)
-        aggregators[q].observe(request)
 
-    reports: dict[int, Report] = {}
-    for i in ordering(net.n):
+    reports = []
+    for i, rng in enumerate(rngs):
         _record(trace, 1, "central_authority", f"local_authority:{i}", request)
-        reports[i] = authorities[i].handle(request)
+        authority = LocalAuthority(i, net.b[i], float(net.gamma[i]), spec, rng, floor, clamp)
+        reports.append(authority.handle(request))
 
-    missing = sorted(set(range(net.n)) - set(reports))
-    if missing:
-        raise ProtocolError(f"missing reports from authorities {missing}")
-
-    for i in ordering(net.n):
+    batches: list[list[LocalAggVector]] = [[] for _ in range(partition.m)]
+    for i, report in enumerate(reports):
         q = int(partition.assignment[i])
-        _record(trace, 5, f"local_authority:{i}", f"shuffler:{q}", reports[i])
-        shufflers[q].receive(reports[i])
+        _record(trace, 5, f"local_authority:{i}", f"shuffler:{q}", report)
+        batches[q].append(report.vector)
 
-    cluster_vectors: dict[int, ClusterVector] = {}
-    for q in ordering(partition.m):
-        batch = shufflers[q].flush()
+    shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
+    rows = []
+    for q, rng in enumerate(shuffler_rngs):
+        batch = ShuffledBatch(cluster=q, t=t, vectors=tuple(shuffle(batches[q], rng)))
         _record(trace, 5, f"shuffler:{q}", f"cluster_aggregator:{q}", batch)
-        cluster_vectors[q] = aggregators[q].handle(batch)
+        rows.append(step6_assemble(batch, partition, net.gamma, state.x, q, floor))
 
-    for q in ordering(partition.m):
-        _record(trace, 7, f"cluster_aggregator:{q}", "data_center", cluster_vectors[q])
-        center.receive(cluster_vectors[q])
+    for q, row in enumerate(rows):
+        _record(trace, 7, f"cluster_aggregator:{q}", "data_center", ClusterVector(q, t, row))
 
-    final = center.flush()
+    final = MatrixMessage(matrix=ClusterRnMatrix(values=np.stack(rows), t=t, private=private))
     _record(trace, 7, "data_center", "central_authority", final)
     return final.matrix

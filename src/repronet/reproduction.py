@@ -505,7 +505,7 @@ def cluster_matrix(
 
     Entry (q, r) averages, with weights ``gamma[i] * x[i]`` over members i of
     cluster q, the effective values from members of cluster r.  It is the
-    pipeline's computation without the actors: ``report_matrix`` over all
+    pipeline's computation without its messages: ``report_matrix`` over all
     entities, then ``assemble`` per cluster, so the privacy-off pipeline
     output is bit-identical.
     """

@@ -3,7 +3,7 @@
 Every random decision in the package draws from a stream keyed by
 ``(master seed, role, id, epoch, trial)`` through ``numpy``'s
 ``SeedSequence``, so runs are reproducible regardless of scheduling order
-and distinct actors never share a stream.
+and distinct parties never share a stream.
 
 ``stream`` builds one key's generator through ``SeedSequence``.  The batch
 path gives the same generators, bit for bit, for many keys at once, and

@@ -14,9 +14,14 @@ took trajectories and every cluster average ran through ``member_sums`` are
 kept too: ``lern_vector_reference``, ``cern_vector_reference`` (over
 ``np.bincount``), ``coarsen_reference``, ``network_reproduction_reference``,
 and the trajectory kernels ``lerns_reference`` and ``cerns_reference``.
+``run_pipeline_reference`` is the aggregation pipeline from when each party
+was an actor object (local authority, shuffler, cluster aggregator, data
+center) with its own message checks; its matrix and trace are the ones
+``protocol.run_pipeline`` must reproduce byte for byte.
 """
 
 import csv
+import json
 import math
 import warnings
 from typing import Iterable, Mapping, Sequence
@@ -34,7 +39,12 @@ from repronet.analysis import (
     NodeThreshold,
     ThresholdReport,
 )
-from repronet.exceptions import CalibrationInfeasibleError, ConfigError, IntegrationError
+from repronet.exceptions import (
+    CalibrationInfeasibleError,
+    ConfigError,
+    IntegrationError,
+    ProtocolError,
+)
 from repronet.model import (
     _DRIFT_TOL,
     _NEGATIVE_TOL,
@@ -45,17 +55,31 @@ from repronet.model import (
     TransmissionNetwork,
     inflow,
 )
-from repronet.privacy import PrivacySpec
-from repronet.protocol import run_pipeline
+from repronet.privacy import PrivacySpec, bounded_gaussian_randomize, shuffle
+from repronet.protocol import (
+    ClusterVector,
+    LocalAggVector,
+    MatrixMessage,
+    PublicData,
+    Report,
+    Request,
+    ShuffledBatch,
+    payload_digest,
+)
 from repronet.reproduction import (
     DEFAULT_INFECTION_FLOOR,
+    ClusterRnMatrix,
     Partition,
     _check_positive_infection,
+    assemble as package_assemble,
     cluster_matrix,
+    cluster_weight_sums,
     floored_infections,
     member_sums,
+    report_matrix,
     spectral_radius as package_spectral_radius,
 )
+from repronet.seeding import StreamRole, streams
 
 
 def strongly_connected(b):
@@ -218,7 +242,7 @@ def rmse_sweep_reference(
     clamp: tuple[float, float] | None = None,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
 ) -> AccuracyReport:
-    """``analysis.rmse_sweep`` as one ``run_pipeline`` call per (epsilon, state, trial).
+    """``analysis.rmse_sweep`` as one pipeline run per (epsilon, state, trial).
 
     The sweep's loop before it was batched, kept unchanged as the reference
     that the batched sweep must match bit for bit.
@@ -241,7 +265,7 @@ def rmse_sweep_reference(
         try:
             for epoch, state in enumerate(trajectory):
                 for trial in range(trials):
-                    private = run_pipeline(
+                    private = run_pipeline_reference(
                         net,
                         state,
                         partition,
@@ -635,3 +659,225 @@ def cerns_reference(net, trajectory: Trajectory, lerns, partition, floor) -> np.
     """``cern_vector`` at every sample, ``(T, m)``, bit for bit, from the samples' lerns."""
     weights = net.gamma * floored_infections(trajectory.x, floor)
     return member_sums(weights * lerns, partition) / member_sums(weights, partition)
+
+
+class LocalAuthorityReference:
+    """The pipeline's local authority, kept as the actor pipeline ran it."""
+
+    def __init__(
+        self,
+        ident: int,
+        b_row: np.ndarray,
+        gamma_i: float,
+        spec: PrivacySpec | None,
+        rng: np.random.Generator | None,
+        floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+        clamp: tuple[float, float] | None = None,
+    ):
+        self.ident = ident
+        self.rows = np.array([ident])
+        self.b_rows = np.asarray(b_row, dtype=float)[None, :]
+        self.gamma_rows = np.array([float(gamma_i)])
+        self.spec = spec
+        self.rng = rng
+        self.floor = floor
+        self.clamp = clamp
+
+    def handle(self, message) -> Report:
+        if not isinstance(message, Request):
+            raise ProtocolError(
+                f"local authority {self.ident} expected a Request, got {type(message).__name__}"
+            )
+        public = message.public
+        x_f = floored_infections(public.x, self.floor)
+        entries = report_matrix(
+            self.b_rows, self.gamma_rows, public.s[self.rows], x_f, self.rows, message.partition,
+            self.clamp
+        )[0]
+        private = self.spec is not None
+        if private and np.any(entries > 0.0):
+            mechanism = self.spec.calibrate(entries > 0.0)
+            if self.rng is None:
+                raise ProtocolError(f"local authority {self.ident} has no RNG stream")
+            entries = bounded_gaussian_randomize(entries, mechanism, self.rng)
+        vector = LocalAggVector(
+            entries=entries, t=message.t, authority_id=self.ident, private=private
+        )
+        return Report(vector=vector)
+
+
+class ShufflerReference:
+    """Anonymizes and uniformly permutes its cluster's reports."""
+
+    def __init__(self, cluster: int, rng: np.random.Generator):
+        self.cluster = cluster
+        self.rng = rng
+        self._reports: list[LocalAggVector] = []
+        self._t: float | None = None
+
+    def receive(self, message) -> None:
+        if not isinstance(message, Report):
+            raise ProtocolError(
+                f"shuffler {self.cluster} expected a Report, got {type(message).__name__}"
+            )
+        self._reports.append(message.vector)
+        self._t = message.vector.t
+
+    def flush(self) -> ShuffledBatch:
+        if not self._reports:
+            raise ProtocolError(f"shuffler {self.cluster} has no reports to shuffle")
+        batch = ShuffledBatch(
+            cluster=self.cluster, t=self._t, vectors=tuple(shuffle(self._reports, self.rng))
+        )
+        self._reports = []
+        return batch
+
+
+def step6_assemble_reference(batch, partition, gamma, x, q, floor=DEFAULT_INFECTION_FLOOR):
+    """Cluster q's vector from its shuffled batch, as the actor pipeline assembled it."""
+    members = partition.members(q)
+    if len(batch.vectors) != members.size:
+        raise ProtocolError(
+            f"cluster {q} expected {members.size} reports, got {len(batch.vectors)}"
+        )
+    x_f = floored_infections(np.asarray(x, dtype=float), floor)
+    denom = cluster_weight_sums(gamma, x_f, partition)[q]
+    return package_assemble(np.stack([vec.entries for vec in batch.vectors]), denom)
+
+
+class ClusterAggregatorReference:
+    """Assembles the cluster's vector from the shuffled batch."""
+
+    def __init__(self, cluster: int, floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR):
+        self.cluster = cluster
+        self.floor = floor
+        self._request: Request | None = None
+
+    def observe(self, message) -> None:
+        if not isinstance(message, Request):
+            raise ProtocolError(
+                f"aggregator {self.cluster} expected a Request, got {type(message).__name__}"
+            )
+        self._request = message
+
+    def handle(self, message) -> ClusterVector:
+        if not isinstance(message, ShuffledBatch):
+            raise ProtocolError(
+                f"aggregator {self.cluster} expected a ShuffledBatch, got {type(message).__name__}"
+            )
+        if message.cluster != self.cluster:
+            raise ProtocolError(
+                f"aggregator {self.cluster} received a batch for cluster {message.cluster}"
+            )
+        if self._request is None:
+            raise ProtocolError(f"aggregator {self.cluster} has no public data yet")
+        req = self._request
+        values = step6_assemble_reference(
+            message, req.partition, req.public.gamma, req.public.x, self.cluster, self.floor
+        )
+        return ClusterVector(cluster=self.cluster, t=message.t, values=values)
+
+
+class DataCenterReference:
+    """Stacks cluster vectors into the final matrix."""
+
+    def __init__(self, m: int, private: bool):
+        self.m = m
+        self.private = private
+        self._rows: dict[int, ClusterVector] = {}
+
+    def receive(self, message) -> None:
+        if not isinstance(message, ClusterVector):
+            raise ProtocolError(
+                f"data center expected a ClusterVector, got {type(message).__name__}"
+            )
+        if message.cluster in self._rows:
+            raise ProtocolError(f"duplicate cluster vector for cluster {message.cluster}")
+        self._rows[message.cluster] = message
+
+    def flush(self) -> MatrixMessage:
+        missing = sorted(set(range(self.m)) - set(self._rows))
+        if missing:
+            raise ProtocolError(f"missing cluster vectors for clusters {missing}")
+        t = self._rows[0].t
+        values = np.stack([self._rows[q].values for q in range(self.m)])
+        return MatrixMessage(
+            matrix=ClusterRnMatrix(values=values, t=t, private=self.private)
+        )
+
+
+def _record_reference(sink, step: int, sender: str, receiver: str, message) -> None:
+    if sink is not None:
+        line = {"step": step, "from": sender, "to": receiver, "payload_digest": payload_digest(message)}
+        sink.write(json.dumps(line) + "\n")
+
+
+def run_pipeline_reference(
+    net: TransmissionNetwork,
+    state: EpidemicState,
+    partition: Partition,
+    spec: PrivacySpec | None = None,
+    *,
+    master_seed: int = 0,
+    epoch: int = 0,
+    trial: int = 0,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+    clamp: tuple[float, float] | None = None,
+    trace=None,
+) -> ClusterRnMatrix:
+    """``protocol.run_pipeline`` as one actor object per party, serviced in ascending order.
+
+    The matrix and the ``trace`` lines that ``run_pipeline`` must reproduce
+    byte for byte.
+    """
+    if state.n != net.n or partition.n != net.n:
+        raise ConfigError("network, state, and partition sizes must agree")
+    private = spec is not None
+
+    rngs = (
+        streams(master_seed, StreamRole.LOCAL_AUTHORITY, range(net.n), epoch, (trial,))
+        if private
+        else [None] * net.n
+    )
+    authorities = [
+        LocalAuthorityReference(i, net.b[i], float(net.gamma[i]), spec, rng, floor, clamp)
+        for i, rng in enumerate(rngs)
+    ]
+    shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
+    shufflers = {q: ShufflerReference(q, rng) for q, rng in enumerate(shuffler_rngs)}
+    aggregators = {q: ClusterAggregatorReference(q, floor=floor) for q in range(partition.m)}
+    center = DataCenterReference(partition.m, private=private)
+
+    request = Request(
+        partition=partition,
+        t=float(state.t),
+        epoch=epoch,
+        public=PublicData(gamma=net.gamma, s=state.s, x=state.x),
+    )
+    for q in range(partition.m):
+        _record_reference(trace, 1, "central_authority", f"cluster_aggregator:{q}", request)
+        aggregators[q].observe(request)
+
+    reports: dict[int, Report] = {}
+    for i in range(net.n):
+        _record_reference(trace, 1, "central_authority", f"local_authority:{i}", request)
+        reports[i] = authorities[i].handle(request)
+
+    for i in range(net.n):
+        q = int(partition.assignment[i])
+        _record_reference(trace, 5, f"local_authority:{i}", f"shuffler:{q}", reports[i])
+        shufflers[q].receive(reports[i])
+
+    cluster_vectors: dict[int, ClusterVector] = {}
+    for q in range(partition.m):
+        batch = shufflers[q].flush()
+        _record_reference(trace, 5, f"shuffler:{q}", f"cluster_aggregator:{q}", batch)
+        cluster_vectors[q] = aggregators[q].handle(batch)
+
+    for q in range(partition.m):
+        _record_reference(trace, 7, f"cluster_aggregator:{q}", "data_center", cluster_vectors[q])
+        center.receive(cluster_vectors[q])
+
+    final = center.flush()
+    _record_reference(trace, 7, "data_center", "central_authority", final)
+    return final.matrix

@@ -272,3 +272,18 @@ def test_accuracy_invalid_eps_grid_exit_code(tmp_path, capsys, eps):
     assert main(["accuracy", "--config", str(config), "--eps", eps, "--trials", "1"]) == 2
     assert "--eps" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "option, path",
+    [
+        ("--trace", "missing/t.jsonl"),  # FileNotFoundError
+        ("--output-dir", "file/out"),  # NotADirectoryError
+        ("--config", "."),  # IsADirectoryError: the last --config wins
+    ],
+)
+def test_unusable_path_exit_code(tmp_path, capsys, option, path):
+    config = write_config(tmp_path, CLUSTERED)
+    (tmp_path / "file").write_text("")
+    assert main(["pipeline", "--config", str(config), option, str(tmp_path / path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
+from repronet import analysis
 from repronet.exceptions import ConfigError, ConvergenceError, UndefinedRatioError
 from repronet.reproduction import MatrixKind, cern_vector, floored_infections, lern_vector, report_matrix
 
@@ -337,6 +338,9 @@ def test_state_size_must_match_network(rng):
         lambda: rn.lern(net, state, 0),
         lambda: rn.local_distributed_ern(net, state, 0, 1),
         lambda: rn.network_reproduction(net, state),
+        lambda: analysis.trichotomy_counts(net, [state], rn.ModelKind.SIR),
+        lambda: analysis.entry_noise_params(net, state, partition, rn.PrivacySpec(1.0), 0, 0),
+        lambda: rn.step3_preaggregate(net, state, partition, 0),
     ]
     for call in calls:
         with pytest.raises(ConfigError, match="state has 3 entities, network has 4"):
