@@ -8,13 +8,14 @@ moments follow by linearity from the closed-form single-draw moments:
     var(q, r)  = sum_k Var[draw_k] / (sum_k gamma_k x_k)^2
 
 with k ranging over cluster q's members and a zero entry contributing zero
-mean and zero variance.  The RMSE harness reproduces, bit for bit, many
-private pipeline runs per state over a privacy-level grid and reports
-per-entry and aggregate errors; the percentage error is RMSE over the mean
-magnitude of the exact entries.  It computes in arrays instead of running
-the pipeline: each authority draws its noise from its own pipeline stream,
-and the shuffle is skipped because assembly sorts before it sums, so no
-order of the reports can change the aggregate (see ``rmse_sweep``).
+mean and zero variance.  The RMSE harness runs many private pipeline
+trials per state over a privacy-level grid and reports per-entry and
+aggregate errors; the percentage error is RMSE over the mean magnitude of
+the exact entries.  Its trials are the pipeline's own array steps
+(``protocol.private_reports``, then ``reproduction.assemble_clusters``), so
+each is, bit for bit, a ``protocol.run_pipeline`` call.  Like an untraced
+pipeline run it builds no messages and runs no shuffle: assembly sorts
+before it sums, so no order of the reports can change the aggregate.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from .model import (
     _check_size,
     infected_derivative,
 )
-from .privacy import (
+from .privacy import (  # noqa: F401  (bounded_gaussian_randomize: see below)
     PrivacySpec,
     TruncGaussParams,
     bounded_gaussian_randomize,
     trunc_gauss_moments,
     trunc_gauss_sample,
 )
-from .protocol import run_pipeline  # noqa: F401  (see below)
+from .protocol import private_reports, run_pipeline  # noqa: F401  (run_pipeline: see below)
 from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector: see below)
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
@@ -55,11 +56,12 @@ from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector: see bel
     lern_vector,
     report_matrix,
 )
-from .seeding import StreamRole, generators, stream_words
+from .seeding import StreamRole, stream_words
 
-# ``run_pipeline``, ``cluster_matrix`` and ``cern_vector`` are not called here;
-# they stay bound in this module because perfbench's traced runs wrap them by
-# these names.
+# ``run_pipeline``, ``cluster_matrix``, ``cern_vector`` and
+# ``bounded_gaussian_randomize`` are not called here; they stay bound in this
+# module because perfbench's traced runs wrap the first three by these names,
+# and tests patch the last one by its name.
 
 __all__ = [
     "EntryAccuracy",
@@ -204,23 +206,6 @@ def monte_carlo_entry_stats(
     return float(np.mean(values)), float(np.var(values, ddof=1))
 
 
-def _private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -> np.ndarray:
-    """Every authority's report in every trial, ``(trials, n, m)``, trial t of authority i
-    drawn from the generator seeded with ``words[i, t]``.
-
-    Randomized as ``LocalAuthority.handle`` does; an all-zero report passes
-    through unchanged.
-    """
-    out = np.empty((words.shape[1],) + reports.shape)
-    out[:] = reports
-    for i, zeta in enumerate(reports):
-        if np.any(zeta > 0.0):
-            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), generators(words[i]))
-    if np.any(out < 0.0):  # a box reaching below zero; the pipeline's report check
-        raise ConfigError("report entries must be finite and >= 0")
-    return out
-
-
 def rmse_sweep(
     net: TransmissionNetwork,
     trajectory: Sequence[EpidemicState],
@@ -239,17 +224,16 @@ def rmse_sweep(
 
     For every epsilon and state (epoch = its index in ``trajectory``) the
     matrices equal, bit for bit, those of ``trials`` runs of
-    ``protocol.run_pipeline``.  They are computed in arrays: exact reports
-    once per state, one calibration and box check per authority and state,
-    and trial t's noise from the authority's ``(LOCAL_AUTHORITY, i, epoch,
-    t)`` stream, whose seed words are derived in arrays once per sweep
-    (``seeding.stream_words``) and seed a fresh generator for each epsilon;
-    no ``SeedSequence`` is built.  Neither the actors nor the shuffle can
-    change a bit, so neither runs: assembly sorts each column before
-    summing, and the shuffler streams are independent of the authorities'.
-    Infeasible calibrations are reported per epsilon instead of aborting the
-    sweep; if every exact cluster entry is zero, the percentage error is
-    undefined and ``UndefinedRatioError`` is raised before any noise is drawn.
+    ``protocol.run_pipeline``, as they are its array steps run over all
+    trials at once: exact reports once per state, ``protocol.private_reports``
+    (one calibration and box check per authority and state, trial t's noise
+    from the authority's ``(LOCAL_AUTHORITY, i, epoch, t)`` stream, seeded
+    from words derived once per sweep), then ``assemble_clusters``.  As in an
+    untraced pipeline run, no message is built and the shuffle, which cannot
+    change a bit, does not run.  Infeasible calibrations are reported per
+    epsilon instead of aborting the sweep; if every exact cluster entry is
+    zero, the percentage error is undefined and ``UndefinedRatioError`` is
+    raised before any noise is drawn.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
@@ -282,7 +266,7 @@ def rmse_sweep(
         try:
             private = np.stack(  # (epochs, trials, m, m)
                 [
-                    assemble_clusters(_private_reports(reports, spec, w), weights, partition)
+                    assemble_clusters(private_reports(reports, spec, w), weights, partition)
                     for (reports, weights), w in zip(epochs, words)
                 ]
             )

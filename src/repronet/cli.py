@@ -20,6 +20,7 @@ calibration infeasible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -140,14 +141,13 @@ def _cmd_cluster_rn(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    ctx = _Context(args)
-    scenario = ctx.scenario
-    spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
-    sampled = ctx.sampled(ctx.trajectory())
-    trace_fh = open(args.trace, "w") if args.trace else None
-    try:
+    # opened before _Context makes the output directory: an unusable path fails first
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
+        ctx = _Context(args)
+        scenario = ctx.scenario
+        spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
         matrices = []
-        for epoch, state in zip(scenario.sampled_epochs(), sampled):
+        for epoch, state in zip(scenario.sampled_epochs(), ctx.sampled(ctx.trajectory())):
             matrix = protocol.run_pipeline(
                 ctx.net,
                 state,
@@ -160,9 +160,6 @@ def _cmd_pipeline(args) -> int:
                 trace=trace_fh,
             )
             matrices.append((state.t, matrix.values))
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
     kind = "cluster" if spec is None else "cluster_private"
     csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(matrices, kind))
     mode = "no privacy" if spec is None else f"epsilon0={spec.epsilon0:g}"

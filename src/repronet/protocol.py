@@ -1,32 +1,31 @@
 """The private aggregation pipeline, one epoch per ``run_pipeline`` call.
 
 The paper's parties are local authorities, one shuffler and one aggregator
-per cluster, a data center and the central authority.  ``run_pipeline``
-runs their seven steps itself, in order:
+per cluster, a data center and the central authority.  Their seven steps
+are array computations over every authority at once:
 
-1. the central authority broadcasts a request carrying the partition and
-   the public data (recovery rates and current s/x fractions);
+1. the central authority broadcasts the partition and the public data
+   (recovery rates and current s/x fractions);
 2. each local authority computes its entity-level effective values from its
    own transmission row plus the public data;
-3. it pre-aggregates them into a length-m report vector whose entry r is
-   ``gamma_i * x_i * sum_{k in cluster r} effective(i, k)`` (steps 2 and 3
-   are one single-row ``reproduction.report_matrix`` call);
-4. with privacy on, it randomizes the report with the bounded Gaussian
-   local randomizer;
-5. each cluster's reports are anonymized and uniformly permuted with that
-   cluster's shuffler stream;
-6. ``step6_assemble`` divides the entrywise sum of a cluster's shuffled
-   batch by ``sum_{k in cluster} gamma_k * x_k`` through
-   ``reproduction.assemble`` (summing report entries in ascending value
-   order, which makes the result bit-identical under any permutation of the
-   batch, and equal to ``cluster_matrix`` with privacy off);
-7. the cluster vectors are stacked into the m-by-m matrix handed to the
-   central authority.
+3. it pre-aggregates them into a length-m report whose entry r is
+   ``gamma_i * x_i * sum_{k in cluster r} effective(i, k)``.  Steps 2 and 3
+   are ``reproduction.report_matrix`` over all rows; each row has the bits
+   of its authority's one-row call (``step3_preaggregate``);
+4. with privacy on, ``private_reports`` randomizes each report with the
+   bounded Gaussian local randomizer and its authority's own stream;
+5. each cluster's shuffler anonymizes and uniformly permutes its reports;
+6. a cluster's vector is the sum of its members' reports over
+   ``sum_{k in cluster} gamma_k * x_k`` (``reproduction.assemble_clusters``),
+   summed in ascending value order, so no permutation changes a bit;
+7. the cluster vectors are stacked into the m-by-m matrix.
 
-A ``LocalAuthority`` is constructed from its own transmission row, never
-from the full matrix, and sees only the request.  Every message between
-parties is a dataclass below; with a ``trace`` sink, ``run_pipeline``
-writes one audit line per message.
+With privacy off this is ``reproduction.cluster_matrix``, bit for bit, and
+``analysis.rmse_sweep`` runs the same steps over many trials.  The message
+dataclasses below exist for the audit trace: with a ``trace`` sink,
+``run_pipeline`` builds them from the computed arrays, shuffle included, and
+writes one line per message in sending order, after the matrix is computed,
+so an epoch that fails writes none.
 """
 
 from __future__ import annotations
@@ -41,18 +40,19 @@ import numpy as np
 
 from .exceptions import ConfigError, ProtocolError
 from .model import EpidemicState, TransmissionNetwork, _check_size
-from .privacy import CalibratedMechanism, PrivacySpec, bounded_gaussian_randomize, shuffle
+from .privacy import PrivacySpec, bounded_gaussian_randomize, shuffle
 from .reproduction import (
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
     Partition,
     _index,
     assemble,
+    assemble_clusters,
     cluster_weight_sums,
     floored_infections,
     report_matrix,
 )
-from .seeding import StreamRole, stream, streams  # noqa: F401  (stream: see below)
+from .seeding import StreamRole, generators, stream, stream_words, streams  # noqa: F401
 
 # ``stream`` is not called here; it stays bound because perfbench's traced
 # runs wrap it by this name.
@@ -69,6 +69,7 @@ __all__ = [
     "step3_preaggregate",
     "step6_assemble",
     "LocalAuthority",
+    "private_reports",
     "run_pipeline",
 ]
 
@@ -176,13 +177,13 @@ def step3_preaggregate(
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
     clamp: tuple[float, float] | None = None,
 ) -> LocalAggVector:
-    """Exact report vector of authority i: its ``LocalAuthority`` without privacy.
+    """Exact report vector of authority i, from its ``LocalAuthority``.
 
     Only row i of the transmission matrix and the public vectors enter.
     """
     _check_size(net, state)
     i = _index(i, net.n, "authority")
-    authority = LocalAuthority(i, net.b[i], float(net.gamma[i]), None, None, floor, clamp)
+    authority = LocalAuthority(i, net.b[i], float(net.gamma[i]), floor, clamp)
     return authority.handle(_request(net, state, partition, epoch=0)).vector
 
 
@@ -212,59 +213,74 @@ def step6_assemble(
     return assemble(np.stack([vec.entries for vec in batch.vectors]), denom)
 
 
+@dataclass(frozen=True, eq=False)
 class LocalAuthority:
-    """Holds one transmission row; turns requests into (private) reports."""
+    """Holds one transmission row; turns a request into its exact report."""
 
-    def __init__(
-        self,
-        ident: int,
-        b_row: np.ndarray,
-        gamma_i: float,
-        spec: PrivacySpec | None,
-        rng: np.random.Generator | None,
-        floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
-        clamp: tuple[float, float] | None = None,
-    ):
-        self.ident = ident
-        # one-row arrays, the shapes ``report_matrix`` takes
-        self.rows = np.array([ident])
-        self.b_rows = np.asarray(b_row, dtype=float)[None, :]
-        self.gamma_rows = np.array([float(gamma_i)])
-        self.spec = spec
-        self.rng = rng
-        self.floor = floor
-        self.clamp = clamp
+    ident: int
+    b_row: np.ndarray
+    gamma_i: float
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR
+    clamp: tuple[float, float] | None = None
 
     def handle(self, message) -> Report:
         if not isinstance(message, Request):
             raise ProtocolError(
                 f"local authority {self.ident} expected a Request, got {type(message).__name__}"
             )
-        public = message.public
+        public, rows = message.public, np.array([self.ident])
         x_f = floored_infections(public.x, self.floor)
         entries = report_matrix(
-            self.b_rows, self.gamma_rows, public.s[self.rows], x_f, self.rows, message.partition,
-            self.clamp
+            np.asarray(self.b_row, dtype=float)[None, :], np.array([float(self.gamma_i)]),
+            public.s[rows], x_f, rows, message.partition, self.clamp
         )[0]
-        private = self.spec is not None
-        if private and np.any(entries > 0.0):
-            # an all-zero report passes through unchanged: the randomizer
-            # touches positive entries only, so there is nothing to calibrate
-            mechanism: CalibratedMechanism = self.spec.calibrate(entries > 0.0)
-            if self.rng is None:
-                raise ProtocolError(f"local authority {self.ident} has no RNG stream")
-            entries = bounded_gaussian_randomize(entries, mechanism, self.rng)
-        vector = LocalAggVector(
-            entries=entries, t=message.t, authority_id=self.ident, private=private
-        )
-        return Report(vector=vector)
+        return Report(vector=LocalAggVector(entries=entries, t=message.t, authority_id=self.ident))
 
 
-def _record(sink: IO[str] | None, step: int, sender: str, receiver: str, message) -> None:
-    """Write one message's audit line to ``sink``, if there is one."""
-    if sink is not None:
-        line = {"step": step, "from": sender, "to": receiver, "payload_digest": payload_digest(message)}
-        sink.write(json.dumps(line) + "\n")
+def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -> np.ndarray:
+    """Every authority's randomized report in every trial, ``(trials, n, m)``: row i of
+    the exact ``(n, m)`` reports under its support pattern's mechanism, trial t drawn
+    from the generator seeded with ``words[i, t]`` (``seeding.stream_words``).
+
+    An all-zero report passes through unchanged, as there is nothing to
+    calibrate; a draw below zero (a box reaching below it) fails the report check.
+    """
+    out = np.empty((words.shape[1],) + reports.shape)
+    out[:] = reports
+    for i, zeta in enumerate(reports):
+        if np.any(zeta > 0.0):
+            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), generators(words[i]))
+    if np.any(out < 0.0):
+        raise ConfigError("report entries must be finite and >= 0")
+    return out
+
+
+def _record(sink: IO[str], step: int, sender: str, receiver: str, message) -> None:
+    """Write one message's audit line to ``sink``."""
+    line = {"step": step, "from": sender, "to": receiver, "payload_digest": payload_digest(message)}
+    sink.write(json.dumps(line) + "\n")
+
+
+def _write_trace(sink, request, reports, matrix, shuffler_rngs) -> None:
+    """The epoch's messages, built from its arrays, one audit line each, in sending order."""
+    partition, t = request.partition, request.t
+    receivers = [f"cluster_aggregator:{q}" for q in range(partition.m)]
+    for receiver in receivers + [f"local_authority:{i}" for i in range(len(reports))]:
+        _record(sink, 1, "central_authority", receiver, request)
+
+    batches: list[list[LocalAggVector]] = [[] for _ in range(partition.m)]
+    for i, entries in enumerate(reports):  # a Python int id and float t: digests hash their repr
+        q = int(partition.assignment[i])
+        vector = LocalAggVector(entries=entries, t=t, authority_id=i, private=matrix.private)
+        _record(sink, 5, f"local_authority:{i}", f"shuffler:{q}", Report(vector=vector))
+        batches[q].append(vector)
+    for q, rng in enumerate(shuffler_rngs):
+        batch = ShuffledBatch(cluster=q, t=t, vectors=tuple(shuffle(batches[q], rng)))
+        _record(sink, 5, f"shuffler:{q}", f"cluster_aggregator:{q}", batch)
+
+    for q, row in enumerate(matrix.values):
+        _record(sink, 7, f"cluster_aggregator:{q}", "data_center", ClusterVector(q, t, row))
+    _record(sink, 7, "data_center", "central_authority", MatrixMessage(matrix=matrix))
 
 
 def run_pipeline(
@@ -288,38 +304,16 @@ def run_pipeline(
     if state.n != net.n or partition.n != net.n:
         raise ConfigError("network, state, and partition sizes must agree")
     private = spec is not None
-    rngs = (
-        streams(master_seed, StreamRole.LOCAL_AUTHORITY, range(net.n), epoch, (trial,))
-        if private
-        else [None] * net.n
-    )
-    request = _request(net, state, partition, epoch)
-    t = request.t
-    for q in range(partition.m):
-        _record(trace, 1, "central_authority", f"cluster_aggregator:{q}", request)
-
-    reports = []
-    for i, rng in enumerate(rngs):
-        _record(trace, 1, "central_authority", f"local_authority:{i}", request)
-        authority = LocalAuthority(i, net.b[i], float(net.gamma[i]), spec, rng, floor, clamp)
-        reports.append(authority.handle(request))
-
-    batches: list[list[LocalAggVector]] = [[] for _ in range(partition.m)]
-    for i, report in enumerate(reports):
-        q = int(partition.assignment[i])
-        _record(trace, 5, f"local_authority:{i}", f"shuffler:{q}", report)
-        batches[q].append(report.vector)
-
-    shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
-    rows = []
-    for q, rng in enumerate(shuffler_rngs):
-        batch = ShuffledBatch(cluster=q, t=t, vectors=tuple(shuffle(batches[q], rng)))
-        _record(trace, 5, f"shuffler:{q}", f"cluster_aggregator:{q}", batch)
-        rows.append(step6_assemble(batch, partition, net.gamma, state.x, q, floor))
-
-    for q, row in enumerate(rows):
-        _record(trace, 7, f"cluster_aggregator:{q}", "data_center", ClusterVector(q, t, row))
-
-    final = MatrixMessage(matrix=ClusterRnMatrix(values=np.stack(rows), t=t, private=private))
-    _record(trace, 7, "data_center", "central_authority", final)
-    return final.matrix
+    # the authorities' stream seeds; with privacy off there are none, but the key is checked
+    authorities = range(net.n if private else 0)
+    words = stream_words(master_seed, StreamRole.LOCAL_AUTHORITY, authorities, epoch, (trial,))
+    x_f = floored_infections(state.x, floor)
+    reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
+    if private:
+        reports = private_reports(reports, spec, words)[0]
+    values = assemble_clusters(reports, cluster_weight_sums(net.gamma, x_f, partition), partition)
+    matrix = ClusterRnMatrix(values=values, t=float(state.t), private=private)
+    if trace is not None:
+        shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
+        _write_trace(trace, _request(net, state, partition, epoch), reports, matrix, shuffler_rngs)
+    return matrix

@@ -193,6 +193,19 @@ def test_rmse_sweep_all_zero_exact_matrix_raises(monkeypatch):
         rmse_sweep(net, [state], rn.Partition.whole(1), [1.0], trials=3, master_seed=0)
 
 
+def test_rmse_sweep_all_zero_exact_matrix_draws_no_noise(monkeypatch):
+    net = rn.TransmissionNetwork(b=[[0.3]], gamma=[0.1])
+    state = rn.EpidemicState(t=0.0, s=np.array([0.0]), x=np.array([0.4]), r=np.array([0.6]))
+
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    # the randomizer binding that the shared report kernel calls
+    monkeypatch.setattr("repronet.protocol.bounded_gaussian_randomize", no_noise)
+    with pytest.raises(UndefinedRatioError, match="every exact cluster entry is zero"):
+        rmse_sweep(net, [state], rn.Partition.whole(1), [1.0], trials=3, master_seed=0)
+
+
 def _outcome(fn, *args, **kwargs):
     """``fn``'s result, or the type and message of the package error it raised."""
     try:

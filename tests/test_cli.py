@@ -287,3 +287,4 @@ def test_unusable_path_exit_code(tmp_path, capsys, option, path):
     (tmp_path / "file").write_text("")
     assert main(["pipeline", "--config", str(config), option, str(tmp_path / path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()  # the path fails before the output directory is made

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
-from repronet.exceptions import ConfigError, ProtocolError
+from repronet.exceptions import (
+    CalibrationInfeasibleError,
+    ConfigError,
+    ProtocolError,
+    UndefinedRatioError,
+)
 from repronet.protocol import (
     LocalAggVector,
     ShuffledBatch,
@@ -17,7 +22,12 @@ from repronet.protocol import (
     step3_preaggregate,
     step6_assemble,
 )
-from repronet.reproduction import cluster_matrix, floored_infections, report_matrix
+from repronet.reproduction import (
+    DEFAULT_INFECTION_FLOOR,
+    cluster_matrix,
+    floored_infections,
+    report_matrix,
+)
 
 
 def figure_partition():
@@ -307,3 +317,71 @@ def test_pipeline_matches_actor_reference_property(seed, sizes, private, clamp):
     assert piped.values.tobytes() == reference.values.tobytes()
     assert (piped.t, piped.private) == (reference.t, reference.private)
     assert sink.getvalue() == reference_sink.getvalue()
+
+
+def _raised(fn, *args, **kwargs):
+    """The type of the exception ``fn`` raises; fails if it returns."""
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return info.type
+
+
+SPEC = rn.PrivacySpec(epsilon0=1.0, k=1e-5, bounds=(0.0, 14.0))
+INFEASIBLE = rn.PrivacySpec(epsilon0=1e-6, k=50.0, bounds=(0.0, 14.0))
+
+
+@pytest.mark.parametrize(
+    "case, spec, expected",
+    [
+        ("zero_infection", None, UndefinedRatioError),
+        ("zero_infection", SPEC, UndefinedRatioError),
+        ("infeasible", INFEASIBLE, CalibrationInfeasibleError),
+        ("size_mismatch", None, ConfigError),
+        ("size_mismatch", SPEC, ConfigError),
+        ("negative_epoch", None, ConfigError),  # no stream is drawn from, but its key is bad
+    ],
+    ids=["zero_infection", "zero_infection_private", "infeasible", "size_mismatch",
+         "size_mismatch_private", "negative_epoch"],
+)
+def test_pipeline_errors_match_actor_reference(rng, case, spec, expected):
+    net, state, partition = seven_node_instance(rng)
+    floor = 0.0 if case == "zero_infection" else DEFAULT_INFECTION_FLOOR
+    if case == "zero_infection":
+        x = state.x.copy()
+        x[3] = 0.0
+        state = rn.EpidemicState(t=state.t, s=state.s, x=x, r=1.0 - state.s - x)
+    elif case == "size_mismatch":
+        state = make_state(rng, 6)
+    kwargs = dict(floor=floor, epoch=-1 if case == "negative_epoch" else 0)
+    sink = io.StringIO()
+    assert _raised(oracles.run_pipeline_reference, net, state, partition, spec, **kwargs) is expected
+    assert _raised(run_pipeline, net, state, partition, spec, **kwargs) is expected
+    assert _raised(run_pipeline, net, state, partition, spec, trace=sink, **kwargs) is expected
+    assert sink.getvalue() == ""  # a failing epoch writes no partial trace
+
+
+def test_pipeline_rejects_negative_draws_without_trace(rng):
+    # a noise box reaching below zero can draw a negative report entry; the
+    # report check must fire whether or not the messages are built
+    net, state, partition = seven_node_instance(rng)
+    spec = rn.PrivacySpec(epsilon0=1.0, k=1e-5, bounds=(-5.0, 14.0))
+    with pytest.raises(ConfigError, match="report entries"):
+        oracles.run_pipeline_reference(net, state, partition, spec, master_seed=1)
+    with pytest.raises(ConfigError, match="report entries"):
+        run_pipeline(net, state, partition, spec, master_seed=1)
+
+
+def test_untraced_pipeline_builds_no_messages(rng, monkeypatch):
+    net, state, partition = seven_node_instance(rng)
+    specs = (None, rn.PrivacySpec(epsilon0=1.0, k=1e-4, bounds=(0.0, 14.0)))
+    expected = [run_pipeline(net, state, partition, spec, master_seed=4).values.tobytes() for spec in specs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("message or actor built without a trace")
+
+    names = ["LocalAuthority", "LocalAggVector", "Request", "Report", "ShuffledBatch",
+             "ClusterVector", "MatrixMessage", "shuffle"]
+    for name in names:
+        monkeypatch.setattr(f"repronet.protocol.{name}", forbidden)
+    got = [run_pipeline(net, state, partition, spec, master_seed=4).values.tobytes() for spec in specs]
+    assert got == expected
