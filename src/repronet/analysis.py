@@ -34,10 +34,9 @@ from .model import (
     _check_size,
     infected_derivative,
 )
-from .privacy import (  # noqa: F401  (bounded_gaussian_randomize: see below)
+from .privacy import (
     PrivacySpec,
     TruncGaussParams,
-    bounded_gaussian_randomize,
     trunc_gauss_moments,
     trunc_gauss_sample,
 )
@@ -58,10 +57,9 @@ from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector: see bel
 )
 from .seeding import StreamRole, stream_words
 
-# ``run_pipeline``, ``cluster_matrix``, ``cern_vector`` and
-# ``bounded_gaussian_randomize`` are not called here; they stay bound in this
-# module because perfbench's traced runs wrap the first three by these names,
-# and tests patch the last one by its name.
+# ``run_pipeline``, ``cluster_matrix`` and ``cern_vector`` are not called
+# here; they stay bound in this module because perfbench's traced runs wrap
+# them by these names.
 
 __all__ = [
     "EntryAccuracy",

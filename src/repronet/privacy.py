@@ -30,6 +30,11 @@ amplifies the per-report guarantee ``epsilon0`` to
 
 for a cluster of size ``n``, valid while
 ``eps0 <= ln(n / (8 ln(2/delta)) - 1)``.
+
+The normal CDF and its inverse come from ``scipy.special``, whose import
+costs more than the rest of the package.  Only the noise functions need
+them, so :func:`load_special` imports them on first use: a run that draws
+no noise never loads scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .exceptions import (
     CalibrationInfeasibleError,
@@ -50,6 +54,7 @@ from .exceptions import (
 )
 
 __all__ = [
+    "load_special",
     "TruncGaussParams",
     "PrivacySpec",
     "CalibratedMechanism",
@@ -68,6 +73,17 @@ __all__ = [
 # sampling to the inverse-CDF transform.
 _MIN_REJECTION_MASS = 0.05
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# scipy.special's normal CDF and its inverse, bound by load_special
+ndtr = ndtri = None
+
+
+def load_special() -> None:
+    """Import ``ndtr`` and ``ndtri`` from ``scipy.special`` once; later calls do nothing."""
+    global ndtr, ndtri
+    if ndtr is None:
+        from scipy import special
+
+        ndtr, ndtri = special.ndtr, special.ndtri
 
 
 def _std_pdf(z):
@@ -124,6 +140,7 @@ def _sample_box_truncated(
     needs, then the fallback uniforms.  Only the accept test runs over all
     rows at once, so row k is bit-identical to drawing it alone.
     """
+    load_special()
     d = mu.size
     out = np.empty((len(rngs), d))
     lo = ndtr((lower - mu) / sigma)
@@ -178,6 +195,7 @@ def trunc_gauss_sample(
 
 def trunc_gauss_moments(params: TruncGaussParams) -> tuple[float, float]:
     """Closed-form (mean, variance) of the truncated Gaussian."""
+    load_special()
     alpha, beta = params.alpha, params.beta
     mass = float(ndtr(beta) - ndtr(alpha))
     if mass < 1e-15:
@@ -201,6 +219,7 @@ def delta_c(sigma: float, widths: np.ndarray, offset: np.ndarray) -> float:
     (inactive entries are untouched by the randomizer and contribute no
     factor).
     """
+    load_special()
     widths = np.asarray(widths, dtype=float)
     offset = np.asarray(offset, dtype=float)
     numerator = ndtr((widths - offset) / sigma) - ndtr(-offset / sigma)

@@ -257,12 +257,16 @@ def _network_source(cfg: NetworkConfig, path: str) -> NetworkConfig:
     return replace(cfg, gamma=gamma if isinstance(gamma, tuple) else (gamma,) * len(cfg.matrix))
 
 
+# libyaml's parser where PyYAML was built with it: the same documents, parsed several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
     return scenario_from_dict(raw, path="scenario")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +11,18 @@ import repronet as rn
 
 settings.register_profile("repronet", deadline=None)
 settings.load_profile("repronet")
+
+
+def run_fresh(program: str, *args: str) -> str:
+    """Stdout of ``program`` run in a new interpreter that imports this repronet."""
+    env = dict(os.environ)
+    src = str(Path(rn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-c", program, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def make_network(rng, n, density=0.4, beta=(0.02, 0.3), gamma=(0.08, 0.3), ring=True):

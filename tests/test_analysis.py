@@ -181,14 +181,9 @@ def test_rmse_sweep_matches_per_trial_pipeline_property(seed, sizes, trials, k):
     assert not [row for row in batched.entries if row.eps == 1e-12]
 
 
-def test_rmse_sweep_all_zero_exact_matrix_raises(monkeypatch):
+def test_rmse_sweep_all_zero_exact_matrix_raises():
     net = rn.TransmissionNetwork(b=[[0.3]], gamma=[0.1])
     state = rn.EpidemicState(t=0.0, s=np.array([0.0]), x=np.array([0.4]), r=np.array([0.6]))
-
-    def no_noise(*args, **kwargs):
-        raise AssertionError("noise drawn")
-
-    monkeypatch.setattr("repronet.analysis.bounded_gaussian_randomize", no_noise)
     with pytest.raises(UndefinedRatioError, match="every exact cluster entry is zero"):
         rmse_sweep(net, [state], rn.Partition.whole(1), [1.0], trials=3, master_seed=0)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_fresh
 from repronet import csvio
 from repronet.cli import main
 
@@ -288,3 +289,47 @@ def test_unusable_path_exit_code(tmp_path, capsys, option, path):
     assert main(["pipeline", "--config", str(config), option, str(tmp_path / path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()  # the path fails before the output directory is made
+
+
+# scipy's import costs more than the rest of the package, and only noise needs it
+SCIPY_AFTER_MAIN = """
+import sys
+from repronet.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+SCIPY_AFTER_CONTEXT = """
+import sys
+from repronet import cli
+args = cli._build_parser().parse_args(sys.argv[1:])
+assert "scipy" not in sys.modules, "scipy imported with the package"
+cli._Context(args)
+print("scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["compute-rn"], ["cluster-rn"], ["report"], ["pipeline", "--no-privacy"]],
+    ids=" ".join,
+)
+def test_privacy_off_commands_never_import_scipy(tmp_path, command):
+    config = write_config(tmp_path, EIGHT_MEMBER_CLUSTERS)
+    printed = run_fresh(SCIPY_AFTER_MAIN, *command, "--config", str(config))
+    assert printed.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "template, command, loaded",
+    [
+        pytest.param(CLUSTERED, ["pipeline"], True, id="private-pipeline"),
+        # the sweep draws noise whatever the scenario says
+        pytest.param(EIGHT_MEMBER_CLUSTERS, ["accuracy"], True, id="accuracy"),
+        pytest.param(CLUSTERED, ["pipeline", "--no-privacy"], False, id="no-privacy-pipeline"),
+        pytest.param(CLUSTERED, ["simulate"], False, id="private-simulate"),
+    ],
+)
+def test_context_imports_scipy_for_runs_that_draw_noise(tmp_path, template, command, loaded):
+    config = write_config(tmp_path, template)
+    assert run_fresh(SCIPY_AFTER_CONTEXT, *command, "--config", str(config)) == str(loaded)

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import run_fresh
+from repronet import privacy
 from repronet.exceptions import (
     CalibrationInfeasibleError,
     ConfigError,
@@ -431,3 +433,33 @@ def test_randomizer_rows_match_one_generator_calls():
     assert np.all(rows[:, 1] == 0.0)
     with pytest.raises(PrivacyBoundsError):
         bounded_gaussian_randomize(np.array([15.0, 0.0, 1.0, 1.0]), mech, [gen(0)])
+
+
+FIRST_CALL = """
+import sys
+import numpy as np
+from repronet.privacy import *
+assert "scipy" not in sys.modules, "scipy imported with the package"
+print(np.hstack(eval(sys.argv[1])).tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        # mass below 0.05 in the box: the inverse-CDF branch
+        "trunc_gauss_sample(TruncGaussParams(1.0, 50.0, 0.0, 1.0), np.random.default_rng(3), size=4)",
+        "trunc_gauss_moments(TruncGaussParams(2.0, 0.5, 0.0, 14.0))",
+        "[delta_c(0.3, np.full(3, 14.0), np.full(3, 0.1))]",
+        "calibrate_sigma(1.0, 1e-5, np.zeros(3), np.full(3, 14.0), np.array([True, False, True]))",
+        "[PrivacySpec(1.0).calibrate([1, 0, 1]).sigma]",
+        "bounded_gaussian_randomize(np.array([2.0, 0.0, 5.0]), CalibratedMechanism("
+        "PrivacySpec(1.0), (True, False, True), 0.5, (0.0,) * 3, (0.0,) * 3, (14.0,) * 3), "
+        "np.random.default_rng(4))",
+    ],
+    ids=lambda expression: expression.strip("[").split("(")[0],
+)
+def test_noise_functions_load_scipy_on_first_call(expression):
+    namespace = {"np": np, **{name: getattr(privacy, name) for name in privacy.__all__}}
+    expected = np.hstack(eval(expression, namespace)).tobytes().hex()
+    assert run_fresh(FIRST_CALL, expression) == expected

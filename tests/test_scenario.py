@@ -83,6 +83,24 @@ def test_missing_file_and_bad_yaml(tmp_path):
         sc.load_scenario(write_config(tmp_path, "network: [unbalanced\n"))
 
 
+YAML_FILES = sorted(
+    path
+    for folder in ("scripts", "tests")
+    for pattern in ("*.yaml", "*.yml")
+    for path in (Path(__file__).resolve().parents[1] / folder).rglob(pattern)
+)
+
+
+@pytest.mark.parametrize("path", YAML_FILES, ids=lambda path: path.name)
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)])
+def test_scenario_same_with_either_yaml_loader(monkeypatch, tmp_path, path, loader):
+    expected = sc.scenario_from_dict(yaml.load(path.read_text(), Loader=yaml.SafeLoader), path="scenario")
+    monkeypatch.setattr(sc, "_YAML_LOADER", loader)
+    assert sc.load_scenario(path) == expected
+    with pytest.raises(ConfigError, match="invalid YAML"):
+        sc.load_scenario(write_config(tmp_path, "network: [unbalanced\n"))
+
+
 def test_overlapping_clusters_rejected(tmp_path):
     config = MINIMAL + "partition: [[0, 1], [1]]\n"
     with pytest.raises(ConfigError, match="clusters"):
