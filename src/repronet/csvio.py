@@ -7,12 +7,31 @@
 Rows end in ``\\r\\n``, as ``csv.writer`` ends them (the CLI writes ``network_rn.csv``
 itself, with ``\\n``), and floats are written as ``%.17g``, so a write/read round
 trip is bit-exact.
+
+The state writer formats its floats in numpy, through ``_g17``, and writes the
+same bytes as Python's ``%``.  A finite ``v`` in ``[1e-4, 1)`` takes an exact fast
+path:
+
+* its decimal exponent ``X`` in ``-1..-4`` comes from three comparisons, exact
+  because ``fl(10**-k)`` lies above ``10**-k`` for ``k = 1..4``;
+* ``v * 10**p`` with ``p = 16 - X`` (``10**p`` is exact in binary64 for ``p <= 22``)
+  is Dekker's two-product ``prod + err`` without rounding.  ``prod >= 2**53`` is an
+  integer, so the 17 digits ``D`` are ``prod + floor(err)``, rounded half-even on the
+  remainder.  ``D`` cannot round up to ``10**17``: the nearest double below a power
+  of ten lies further from it than half a unit of the 17th digit;
+* the digits are five table lookups, of ``"0."``, the leading zeros and the first
+  digit, then of four four-digit groups.  A group whose right-hand groups are all
+  zero is looked up in a copy of the table without trailing zeros.
+
+Every other value (zeros, ``t >= 1``, tiny values, negatives, inf and NaN) is
+formatted by ``%``, batched into one array.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 from pathlib import Path
@@ -91,16 +110,92 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.stack(rows)
 
 
+_CELL = 24  # bytes of the longest %.17g cell, "-4.9406564584124654e-324"
+_BLOCK_ROWS = 4096  # larger blocks lift simulate's peak memory above report's
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Four-digit groups as uint32 words of ASCII, untrimmed then trimmed, and the
+    8-byte words ``"0."``, ``k`` zeros and a digit ``d`` at ``10 * k + d``; NUL pads both."""
+    g = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8) + ord("0")
+    nonzero_right = np.flip(np.logical_or.accumulate(np.flip(digits != ord("0"), 1), axis=1), 1)
+    groups = np.concatenate([digits, np.where(nonzero_right, digits, 0).astype(np.uint8)])
+    prefix = np.zeros((4, 10, 8), np.uint8)
+    prefix[:, :, :2] = np.frombuffer(b"0.", np.uint8)
+    for k in range(4):
+        prefix[k, :, 2:2 + k] = ord("0")
+        prefix[k, :, 2 + k] = np.arange(10) + ord("0")
+    return groups.view(np.uint32).ravel(), prefix.view(np.uint64).ravel()
+
+
+_SCALE = np.array([1e17, 1e18, 1e19, 1e20])  # 10**p, p = 16 - X, at index -X - 1
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prod, err`` with ``prod + err == a * b`` exactly (Dekker; needs no FMA)."""
+    prod = a * b
+    c = 134217729.0 * a  # 2**27 + 1 splits a double into two 26-bit halves
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return prod, ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+
+
+def _fast(v: np.ndarray) -> np.ndarray:
+    """Where ``_g17`` formats a value itself: finite values in ``[1e-4, 1)``."""
+    return (v >= 1e-4) & (v < 1.0)
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` of each value, as ``_CELL`` bytes padded with NULs anywhere."""
+    groups, prefix = _digit_tables()
+    v = np.asarray(values, dtype=float)
+    fast = _fast(v)
+    w = np.where(fast, v, 0.5)
+    k = 3 - (w >= 1e-3).astype(np.intp) - (w >= 1e-2) - (w >= 1e-1)  # zeros after "0."
+    prod, err = _two_product(w, _SCALE[k])
+    floor = np.floor(err)
+    d = prod.astype(np.int64) + floor.astype(np.int64)
+    d += (err > floor + 0.5) | ((err == floor + 0.5) & (d % 2 == 1))
+    hi, lo = np.divmod(d, 100_000_000)
+    first, rest = np.divmod(hi, 100_000_000)
+    g1, g2 = np.divmod(rest, 10_000)
+    g3, g4 = np.divmod(lo, 10_000)
+    out = np.empty(v.shape + (_CELL,), np.uint8)
+    out.view(np.uint64)[..., 0] = prefix[10 * k + first]
+    words = out.view(np.uint32)
+    words[..., 2] = groups[g1 + 10_000 * ((g2 == 0) & (lo == 0))]
+    words[..., 3] = groups[g2 + 10_000 * (lo == 0)]
+    words[..., 4] = groups[g3 + 10_000 * (g4 == 0)]
+    words[..., 5] = groups[g4 + 10_000]
+    if not fast.all():
+        slow = [b"%.17g" % x for x in v[~fast].tolist()]
+        out[~fast] = np.array(slow, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return out
+
+
 def write_states_csv(path, states: Sequence[EpidemicState]) -> None:
     trajectory = Trajectory.from_states(states)
-    template = "".join(f"%s,{i},%.17g,%.17g,%.17g\r\n" for i in range(trajectory.n))
-    cells = [None] * (4 * trajectory.n)  # t, s, x, r of node 0, then of node 1, ...
-    with open(path, "w", newline="") as fh:
-        fh.write("t,node,s,x,r\r\n")
-        for t, s, x, r in zip(trajectory.t.tolist(), trajectory.s, trajectory.x, trajectory.r):
-            cells[0::4] = ["%.17g" % t] * len(s)
-            cells[1::4], cells[2::4], cells[3::4] = s.tolist(), x.tolist(), r.tolist()
-            fh.write(template % tuple(cells))
+    n, samples = trajectory.n, len(trajectory)
+    per_block = max(1, _BLOCK_ROWS // max(n, 1))
+    # one row is five fields t, node, s, x, r of a cell and a separator, all NUL-padded
+    buf = np.zeros((min(per_block, samples), n, 5, _CELL + 2), np.uint8)
+    buf[..., :4, _CELL] = ord(",")
+    buf[..., 4, _CELL:] = np.frombuffer(b"\r\n", np.uint8)
+    nodes = np.array([b"%d" % i for i in range(n)], dtype=f"S{_CELL}")
+    buf[..., 1, :_CELL] = nodes.view(np.uint8).reshape(n, _CELL)
+    with open(path, "wb") as fh:
+        fh.write(b"t,node,s,x,r\r\n")
+        for start in range(0, samples, per_block):
+            rows = slice(start, start + per_block)
+            block = buf[: min(per_block, samples - start)]
+            block[..., 0, :_CELL] = _g17(trajectory.t[rows])[:, None]
+            for field, values in ((2, trajectory.s), (3, trajectory.x), (4, trajectory.r)):
+                block[..., field, :_CELL] = _g17(values[rows])
+            fh.write(block[block != 0])
 
 
 def read_states_csv(path) -> Trajectory:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,3 +178,70 @@ def test_writers_end_rows_in_crlf(tmp_path):
 def test_rn_writer_rejects_kinds_csv_would_quote(tmp_path, kind):
     with pytest.raises(ConfigError, match="not plain CSV text"):
         csvio.write_rn_csv(tmp_path / "rn.csv", [(0.0, 0, 0, 1.0, "effective"), (0.0, 0, 1, 1.0, kind)])
+
+
+def assert_g17_is_percent_format(values):
+    cells = csvio._g17(np.array(values, dtype=float))
+    assert [cell.tobytes().replace(b"\0", b"") for cell in cells] == [b"%.17g" % v for v in values]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_g17_equals_percent_format_property(values):
+    assert_g17_is_percent_format(values)
+
+
+@given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_g17_fast_path_equals_percent_format_property(values):
+    assert_g17_is_percent_format(values)
+
+
+def test_g17_next_to_powers_of_ten():
+    values = []
+    for k in range(7):
+        below = above = 10.0**-k
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            values += [float(below), float(above)]
+    assert_g17_is_percent_format(values + [10.0**-k for k in range(7)])
+
+
+def test_g17_rounds_half_way_ties_to_even():
+    # v * 10**p lies half-way between two integers for v = m * 2**-(p + 1), m odd, so the
+    # 17th digit is a tie at the decimal exponent 16 - p
+    rng = np.random.default_rng(17)
+    ties = []
+    for p in range(17, 21):
+        low, high = int(10.0 ** (16 - p) * 2 ** (p + 1)) + 1, int(10.0 ** (17 - p) * 2 ** (p + 1))
+        ms = np.concatenate([[low, high - 1], rng.integers(low, high, 250)]) | 1
+        ties += [float(m) * 2.0 ** -(p + 1) for m in ms.tolist()]
+        assert all((Fraction(v) * 10**p).denominator == 2 for v in ties[-len(ms):])
+    assert_g17_is_percent_format(ties)
+
+
+def test_g17_drops_trailing_zeros():
+    values = [k / 1000 for k in range(1, 1000)] + [k / 10_000 for k in range(1, 100)] + [0.5, 0.25, 0.125]
+    assert_g17_is_percent_format(values)
+
+
+def test_g17_fast_path_covers_sir_trajectories(rng):
+    net = make_network(rng, 40, density=0.1)
+    traj = rn.integrate(net, make_state(rng, 40, x=(0.01, 0.01)), rn.ModelKind.SIR, 0.01, 500)
+    values = np.concatenate([traj.s, traj.x, traj.r], axis=None)
+    assert np.mean(csvio._fast(values)) > 0.95
+    assert_g17_is_percent_format(values.tolist())
+
+
+@pytest.mark.parametrize("as_states", [False, True])
+def test_states_writer_bytes_equal_csv_writer_across_blocks(tmp_path, rng, as_states):
+    # 397 nodes do not divide the writer's block of rows, and 40 samples fill several blocks
+    samples, n = 40, 397
+    x = rng.uniform(0.0, 0.5, (samples, n))
+    x[0, :4], x[1, :4], x[2, :4] = 0.0, 1.0, (5e-324, 1e-5, 9.99e-5, 1e-4)
+    r = np.where(x < 0.5, rng.uniform(0.0, 0.5, (samples, n)), 0.0)
+    r[3, :3] = 0.0, 3e-7, 1.0 - x[3, 2]
+    trajectory = rn.Trajectory(np.linspace(0.0, 3.9, samples), np.maximum(1.0 - x - r, 0.0), x, r)
+    assert len(trajectory) > 2 * (csvio._BLOCK_ROWS // n)
+    data = list(trajectory) if as_states else trajectory
+    assert_same_bytes(tmp_path, csvio.write_states_csv, oracles.write_states_csv_reference, data)
