@@ -13,7 +13,9 @@ A timing is the best of 5 in-process runs.  A cold pipeline run is the best of
 3, each after clearing both calibration caches.  ``write_states_ns_per_value``
 times ``csvio.write_states_csv`` on the whole trajectory, per fraction written
 (three per row), and ``write_states_fallback_share`` is the share of those
-fractions that its kernel hands to Python's ``%``.
+fractions that its kernel hands to Python's ``%``.  ``ndtr_ns_per_value`` times
+``privacy.ndtr`` on the arrays that the warm private pipeline's sampler passes
+it, per value, call overhead included.
 """
 
 import argparse
@@ -62,6 +64,17 @@ def clear_calibrations() -> None:
     privacy._calibrate_count.cache_clear()
 
 
+def ndtr_arguments(run) -> list:
+    """The arrays that ``run`` passes to ``privacy.ndtr``."""
+    seen, ndtr = [], privacy.ndtr
+    privacy.ndtr = lambda a: seen.append(a) or ndtr(a)
+    try:
+        run()
+    finally:
+        privacy.ndtr = ndtr
+    return seen
+
+
 def layers(n: int, scratch: Path) -> dict:
     net, state0, partition = instance(n)
     trajectory = rn.integrate(net, state0, rn.ModelKind.SIR, DT, STEPS)
@@ -70,6 +83,7 @@ def layers(n: int, scratch: Path) -> dict:
     fractions = np.stack([trajectory.s, trajectory.x, trajectory.r])
     private = functools.partial(rn.run_pipeline, net, state, partition, spec, clamp=CLAMP)
     private()
+    sampled = ndtr_arguments(private)
     return {
         "clusters": partition.m,
         "edge_density": SIZES[n][1],
@@ -83,6 +97,7 @@ def layers(n: int, scratch: Path) -> dict:
         "write_states_ns_per_value": best(lambda: csvio.write_states_csv(scratch / "states.csv", trajectory))
         / fractions.size * 1e9,
         "write_states_fallback_share": float(1.0 - np.mean(csvio._fast(fractions))),
+        "ndtr_ns_per_value": best(lambda: [privacy.ndtr(a) for a in sampled]) / sum(a.size for a in sampled) * 1e9,
     }
 
 
@@ -93,7 +108,6 @@ def main() -> int:
     sizes = [int(v) for v in args.sizes.split(",")]
     if not set(sizes) <= set(SIZES):
         parser.error(f"--sizes must be drawn from {sorted(SIZES)}")
-    privacy.load_special()
     with tempfile.TemporaryDirectory() as scratch:
         table = {str(n): layers(n, Path(scratch)) for n in sizes}
     host = f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {np.__version__}"

@@ -27,12 +27,11 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
-from . import analysis, csvio, privacy, protocol, reproduction
+from . import analysis, csvio, protocol, reproduction
 from .exceptions import ConfigError, RepronetError
 from .model import integrate
 from .reproduction import MatrixKind, build_matrix, network_reproduction
 from .scenario import (
-    Scenario,
     build_initial_state,
     build_network,
     build_partition,
@@ -67,13 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _draws_noise(args, scenario: Scenario) -> bool:
-    """Does the command randomize reports?  The accuracy sweep always does."""
-    if args.command == "pipeline":
-        return scenario.privacy.enabled and not args.no_privacy
-    return args.command == "accuracy"
-
-
 class _Context:
     def __init__(self, args):
         scenario = load_scenario(args.config)
@@ -81,8 +73,6 @@ class _Context:
             scenario = dataclasses.replace(scenario, seed=args.seed)
         if args.output_dir is not None:
             scenario = dataclasses.replace(scenario, output_dir=args.output_dir)
-        if _draws_noise(args, scenario):
-            privacy.load_special()  # part of set-up, not of the command's work
         self.scenario = scenario
         self.base_dir = Path(args.config).parent
         self.out = Path(scenario.output_dir)

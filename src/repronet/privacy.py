@@ -31,10 +31,19 @@ amplifies the per-report guarantee ``epsilon0`` to
 for a cluster of size ``n``, valid while
 ``eps0 <= ln(n / (8 ln(2/delta)) - 1)``.
 
-The normal CDF and its inverse come from ``scipy.special``, whose import
-costs more than the rest of the package.  Only the noise functions need
-them, so :func:`load_special` imports them on first use: a run that draws
-no noise never loads scipy.
+The normal CDF ``ndtr`` and its inverse ``ndtri`` are a port of Stephen
+L. Moshier's Cephes Math Library (``ndtr.c``, ``ndtri.c``), the routines
+that ``scipy.special`` ships, and return the same bits as scipy's on every
+double: ``ndtr`` through Cephes' ``erf`` and ``erfc`` rational
+approximations, ``ndtri`` through its three (the centre, and the tails
+below and above ``sqrt(-2 log y) = 8``).  Each value is computed by scalar
+Python float code whose ``exp``, ``log`` and ``sqrt`` are the C library's,
+as in the compiled Cephes.  A whole-array port over ``np.exp`` would be
+faster per value but not exact: numpy's SIMD ``exp`` is not libm's, and on
+x86-64 with numpy 2.4 it rounds about one argument in 20 in ``[-708, 0]``
+differently.  The noise path calls these on a few values at a time, where
+the scalar code costs little and scipy's import would cost more than the
+rest of the package.
 """
 
 from __future__ import annotations
@@ -54,7 +63,8 @@ from .exceptions import (
 )
 
 __all__ = [
-    "load_special",
+    "ndtr",
+    "ndtri",
     "TruncGaussParams",
     "PrivacySpec",
     "CalibratedMechanism",
@@ -73,17 +83,104 @@ __all__ = [
 # sampling to the inverse-CDF transform.
 _MIN_REJECTION_MASS = 0.05
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# scipy.special's normal CDF and its inverse, bound by load_special
-ndtr = ndtri = None
+# Cephes constants: 1/sqrt(2), log(DBL_MAX) (erfc underflows past it), exp(-2), and
+# sqrt(2 pi) rounded correctly, one ulp above _SQRT_2PI
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
 
 
-def load_special() -> None:
-    """Import ``ndtr`` and ``ndtri`` from ``scipy.special`` once; later calls do nothing."""
-    global ndtr, ndtri
-    if ndtr is None:
-        from scipy import special
+def _ndtr1(a: float) -> float:
+    """Cephes ``ndtr`` at ``z = |a|/sqrt(2)``: ``(1 + erf)/2`` below ``z = 1/sqrt(2)``, else
+    ``erfc(z)/2`` reflected for ``a > 0``, where ``erfc`` is ``1 - erf`` below 1, the P/Q
+    approximation below 8 and R/S until ``exp(-z^2)`` underflows."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:  # erf(z) = z T(z^2) / U(z^2)
+        s = z * z
+        p = (((9.60497373987051638749e0 * s + 9.00260197203842689217e1) * s + 2.23200534594684319226e3) * s
+             + 7.00332514112805075473e3) * s + 5.55923013010394962768e4
+        q = ((((s + 3.35617141647503099647e1) * s + 5.21357949780152679795e2) * s + 4.59432382970980127987e3) * s
+             + 2.26290000613890934246e4) * s + 4.92673942608635921086e4
+        if z < _SQRT1_2:
+            return 0.5 + 0.5 * (x * p / q)
+        y = 0.5 * (1.0 - z * p / q)
+    elif z < 8.0:  # erfc(z) = exp(-z^2) P(z) / Q(z)
+        p = (((((((2.46196981473530512524e-10 * z + 5.64189564831068821977e-1) * z + 7.46321056442269912687e0) * z
+                 + 4.86371970985681366614e1) * z + 1.96520832956077098242e2) * z + 5.26445194995477358631e2) * z
+              + 9.34528527171957607540e2) * z + 1.02755188689515710272e3) * z + 5.57535335369399327526e2
+        q = (((((((z + 1.32281951154744992508e1) * z + 8.67072140885989742329e1) * z + 3.54937778887819891062e2) * z
+                + 9.75708501743205489753e2) * z + 1.82390916687909736289e3) * z + 2.24633760818710981792e3) * z
+             + 1.65666309194161350182e3) * z + 5.57535340817727675546e2
+        y = 0.5 * (math.exp(-z * z) * p / q)
+    elif z * z <= _MAXLOG:  # erfc(z) = exp(-z^2) R(z) / S(z)
+        p = ((((5.64189583547755073984e-1 * z + 1.27536670759978104416e0) * z + 5.01905042251180477414e0) * z
+              + 6.16021097993053585195e0) * z + 7.40974269950448939160e0) * z + 2.97886665372100240670e0
+        q = (((((z + 2.26052863220117276590e0) * z + 9.39603524938001434673e0) * z + 1.20489539808096656605e1) * z
+              + 1.70814450747565897222e1) * z + 9.60896809063285067018e0) * z + 3.36907645100081516050e0
+        y = 0.5 * (math.exp(-z * z) * p / q)
+    elif z == z:  # erfc underflows
+        y = 0.0
+    else:  # NaN; scipy returns a positive one
+        return math.nan
+    return 1.0 - y if x > 0 else y
 
-        ndtr, ndtri = special.ndtr, special.ndtri
+
+def _ndtri1(y0: float) -> float:
+    """Cephes ``ndtri``: P0/Q0 for ``exp(-2) < y0 <= 1 - exp(-2)``; otherwise, with ``y`` the
+    nearer tail's mass and ``x = sqrt(-2 log y)``, P1/Q1 below ``x = 8`` and P2/Q2 above."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:  # NaN passes, as in Cephes, and comes out NaN
+        return math.nan
+    y = y0
+    negate = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        p = (((-5.99633501014107895267e1 * y2 + 9.80010754185999661536e1) * y2 - 5.66762857469070293439e1) * y2
+             + 1.39312609387279679503e1) * y2 - 1.23916583867381258016e0
+        q = (((((((y2 + 1.95448858338141759834e0) * y2 + 4.67627912898881538453e0) * y2 + 8.63602421390890590575e1) * y2
+                 - 2.25462687854119370527e2) * y2 + 2.00260212380060660359e2) * y2 - 8.20372256168333339912e1) * y2
+              + 1.59056225126211695515e1) * y2 - 1.18331621121330003142e0
+        return (y + y * (y2 * p / q)) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        p = (((((((4.05544892305962419923e0 * z + 3.15251094599893866154e1) * z + 5.71628192246421288162e1) * z
+                 + 4.40805073893200834700e1) * z + 1.46849561928858024014e1) * z + 2.18663306850790267539e0) * z
+              - 1.40256079171354495875e-1) * z - 3.50424626827848203418e-2) * z - 8.57456785154685413611e-4
+        q = (((((((z + 1.57799883256466749731e1) * z + 4.53907635128879210584e1) * z + 4.13172038254672030440e1) * z
+                + 1.50425385692907503408e1) * z + 2.50464946208309415979e0) * z - 1.42182922854787788574e-1) * z
+             - 3.80806407691578277194e-2) * z - 9.33259480895457427372e-4
+    else:
+        p = (((((((3.23774891776946035970e0 * z + 6.91522889068984211695e0) * z + 3.93881025292474443415e0) * z
+                 + 1.33303460815807542389e0) * z + 2.01485389549179081538e-1) * z + 1.23716634817820021358e-2) * z
+              + 3.01581553508235416007e-4) * z + 2.65806974686737550832e-6) * z + 6.23974539184983293730e-9
+        q = (((((((z + 6.02427039364742014255e0) * z + 3.67983563856160859403e0) * z + 1.37702099489081330271e0) * z
+                + 2.16236993594496635890e-1) * z + 1.34204006088543189037e-2) * z + 3.28014464682127739104e-4) * z
+             + 2.89247864745380683936e-6) * z + 6.79019408009981274425e-9
+    x = x0 - z * p / q
+    return -x if negate else x
+
+
+def ndtr(x):
+    """Standard normal CDF, elementwise; bit-identical to ``scipy.special.ndtr``."""
+    a = np.asarray(x, dtype=float)
+    return np.fromiter(map(_ndtr1, a.ravel().tolist()), float, a.size).reshape(a.shape)[()]
+
+
+def ndtri(x):
+    """Inverse of :func:`ndtr`, elementwise; bit-identical to ``scipy.special.ndtri``."""
+    a = np.asarray(x, dtype=float)
+    return np.fromiter(map(_ndtri1, a.ravel().tolist()), float, a.size).reshape(a.shape)[()]
 
 
 def _std_pdf(z):
@@ -140,11 +237,9 @@ def _sample_box_truncated(
     needs, then the fallback uniforms.  Only the accept test runs over all
     rows at once, so row k is bit-identical to drawing it alone.
     """
-    load_special()
     d = mu.size
     out = np.empty((len(rngs), d))
-    lo = ndtr((lower - mu) / sigma)
-    hi = ndtr((upper - mu) / sigma)
+    lo, hi = ndtr(np.array([(lower - mu) / sigma, (upper - mu) / sigma]))
 
     inverse = hi - lo < _MIN_REJECTION_MASS
     if inverse.any():
@@ -195,7 +290,6 @@ def trunc_gauss_sample(
 
 def trunc_gauss_moments(params: TruncGaussParams) -> tuple[float, float]:
     """Closed-form (mean, variance) of the truncated Gaussian."""
-    load_special()
     alpha, beta = params.alpha, params.beta
     mass = float(ndtr(beta) - ndtr(alpha))
     if mass < 1e-15:
@@ -217,13 +311,14 @@ def delta_c(sigma: float, widths: np.ndarray, offset: np.ndarray) -> float:
     Each factor is ``(Phi((w - c)/sigma) - Phi(-c/sigma)) /
     (Phi(w/sigma) - Phi(0))``; the product runs over active entries only
     (inactive entries are untouched by the randomizer and contribute no
-    factor).
+    factor).  ``widths`` and ``offset`` have one length: the three ``Phi``
+    arguments go to :func:`ndtr` as one array, in one call.
     """
-    load_special()
     widths = np.asarray(widths, dtype=float)
     offset = np.asarray(offset, dtype=float)
-    numerator = ndtr((widths - offset) / sigma) - ndtr(-offset / sigma)
-    denominator = ndtr(widths / sigma) - 0.5
+    above, below, full = ndtr(np.array([(widths - offset) / sigma, -offset / sigma, widths / sigma]))
+    numerator = above - below
+    denominator = full - 0.5
     # For sigma >> width both tails collapse; the ratio limit is 1.
     safe = denominator > 0.0
     ratios = np.where(safe, numerator / np.where(safe, denominator, 1.0), 1.0)

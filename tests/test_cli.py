@@ -291,7 +291,7 @@ def test_unusable_path_exit_code(tmp_path, capsys, option, path):
     assert not (tmp_path / "out").exists()  # the path fails before the output directory is made
 
 
-# scipy's import costs more than the rest of the package, and only noise needs it
+# no subcommand needs scipy: the normal CDF is the package's own
 SCIPY_AFTER_MAIN = """
 import sys
 from repronet.cli import main
@@ -299,13 +299,11 @@ code = main(sys.argv[1:])
 print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
-SCIPY_AFTER_CONTEXT = """
+SCIPY_BLOCKED = """
 import sys
-from repronet import cli
-args = cli._build_parser().parse_args(sys.argv[1:])
-assert "scipy" not in sys.modules, "scipy imported with the package"
-cli._Context(args)
-print("scipy.special" in sys.modules)
+sys.modules["scipy"] = None  # importing scipy now raises ImportError
+from repronet.cli import main
+print(main(sys.argv[1:]))
 """
 
 
@@ -321,15 +319,29 @@ def test_privacy_off_commands_never_import_scipy(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "template, command, loaded",
+    "template, command",
     [
-        pytest.param(CLUSTERED, ["pipeline"], True, id="private-pipeline"),
+        pytest.param(CLUSTERED, ["pipeline", "--trace", "{out}/trace.jsonl"], id="private-pipeline"),
         # the sweep draws noise whatever the scenario says
-        pytest.param(EIGHT_MEMBER_CLUSTERS, ["accuracy"], True, id="accuracy"),
-        pytest.param(CLUSTERED, ["pipeline", "--no-privacy"], False, id="no-privacy-pipeline"),
-        pytest.param(CLUSTERED, ["simulate"], False, id="private-simulate"),
+        pytest.param(EIGHT_MEMBER_CLUSTERS, ["accuracy", "--trials", "5"], id="accuracy"),
+        pytest.param(CLUSTERED, ["pipeline", "--no-privacy"], id="no-privacy-pipeline"),
+        pytest.param(CLUSTERED, ["simulate"], id="private-simulate"),
+        pytest.param(CLUSTERED, ["compute-rn"], id="private-compute-rn"),
+        pytest.param(CLUSTERED, ["cluster-rn"], id="private-cluster-rn"),
+        pytest.param(CLUSTERED, ["report"], id="private-report"),
     ],
 )
-def test_context_imports_scipy_for_runs_that_draw_noise(tmp_path, template, command, loaded):
+def test_commands_run_with_scipy_blocked(tmp_path, template, command):
+    """Each subcommand runs where importing scipy fails, and writes the bytes it writes here."""
     config = write_config(tmp_path, template)
-    assert run_fresh(SCIPY_AFTER_CONTEXT, *command, "--config", str(config)) == str(loaded)
+    written = []
+    for side in ("fresh", "here"):
+        out = tmp_path / side
+        out.mkdir()
+        args = [arg.format(out=out) for arg in command] + ["--config", str(config), "--output-dir", str(out)]
+        if side == "fresh":
+            assert run_fresh(SCIPY_BLOCKED, *args).splitlines()[-1] == "0"
+        else:
+            assert main(args) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] and written[0] == written[1]

@@ -438,8 +438,8 @@ def test_randomizer_rows_match_one_generator_calls():
 FIRST_CALL = """
 import sys
 import numpy as np
+sys.modules["scipy"] = None  # importing scipy now raises ImportError
 from repronet.privacy import *
-assert "scipy" not in sys.modules, "scipy imported with the package"
 print(np.hstack(eval(sys.argv[1])).tobytes().hex())
 """
 
@@ -456,10 +456,80 @@ print(np.hstack(eval(sys.argv[1])).tobytes().hex())
         "bounded_gaussian_randomize(np.array([2.0, 0.0, 5.0]), CalibratedMechanism("
         "PrivacySpec(1.0), (True, False, True), 0.5, (0.0,) * 3, (0.0,) * 3, (14.0,) * 3), "
         "np.random.default_rng(4))",
+        "ndtr(np.linspace(-40.0, 40.0, 161))",
+        "ndtri(np.linspace(0.0, 1.0, 161))",
     ],
     ids=lambda expression: expression.strip("[").split("(")[0],
 )
-def test_noise_functions_load_scipy_on_first_call(expression):
+def test_noise_functions_need_no_scipy_on_first_call(expression):
     namespace = {"np": np, **{name: getattr(privacy, name) for name in privacy.__all__}}
     expected = np.hstack(eval(expression, namespace)).tobytes().hex()
     assert run_fresh(FIRST_CALL, expression) == expected
+
+
+def assert_same_bits(ours, theirs):
+    assert ours.shape == theirs.shape
+    np.testing.assert_array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
+SQRT2 = np.sqrt(2.0)
+# Cephes ndtr branches, in z = |x| / sqrt(2): erf below 1/sqrt(2), 1 - erf below 1,
+# the P/Q erfc below 8, the R/S erfc below sqrt(MAXLOG) = 26.64, then underflow.
+NDTR_BRANCHES = [(0.0, 1.0 / SQRT2), (1.0 / SQRT2, 1.0), (1.0, 8.0), (8.0, 26.6), (26.7, 40.0)]
+
+
+@pytest.mark.parametrize("z_range", NDTR_BRANCHES, ids=lambda r: f"z{r[0]:.3g}-{r[1]:.3g}")
+def test_ndtr_matches_scipy_bits_in_each_branch(z_range):
+    x = SQRT2 * np.random.default_rng(17).uniform(*z_range, 100_000)
+    x = np.concatenate([x, -x]).reshape(2, 10, -1)
+    assert_same_bits(privacy.ndtr(x), ndtr(x))
+
+
+def test_ndtr_matches_scipy_bits_at_edges():
+    tiny = np.finfo(float).smallest_subnormal
+    boundaries = SQRT2 * np.array([1.0 / SQRT2, 1.0, 8.0, np.sqrt(7.09782712893383996843e2)])
+    near = (boundaries[:, None] * (1.0 + np.arange(-50, 51) * 2.0**-52)).ravel()
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310, 1e308, -1e308],
+        near, -near, np.random.default_rng(5).standard_normal(100_000),
+    ])
+    assert_same_bits(privacy.ndtr(x), ndtr(x))
+    assert privacy.ndtr(0.0) == 0.5 and isinstance(privacy.ndtr(0.0), np.float64)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        pytest.param(np.random.default_rng(19).uniform(np.exp(-2.0), 1.0 - np.exp(-2.0), 100_000), id="centre"),
+        # tails in x = sqrt(-2 log y): below 8, and from 8 down to the subnormals
+        pytest.param(np.exp(-0.5 * np.random.default_rng(23).uniform(2.0, 8.0, 100_000) ** 2), id="tail-below-8"),
+        pytest.param(np.exp(-np.random.default_rng(29).uniform(32.0, 745.0, 100_000)), id="tail-from-8"),
+        pytest.param(1.0 - np.exp(-np.random.default_rng(31).uniform(2.0, 37.0, 100_000)), id="near-one"),
+    ],
+)
+def test_ndtri_matches_scipy_bits_in_each_branch(y):
+    assert_same_bits(privacy.ndtri(y), ndtri(y))
+
+
+def test_ndtri_matches_scipy_bits_at_edges():
+    tiny = np.finfo(float).smallest_subnormal
+    e2 = np.exp(-2.0)
+    y = np.array([
+        0.0, -0.0, 1.0, tiny, 1e-310, 1e-300, np.nextafter(1.0, 0.0), 0.5,
+        e2, np.nextafter(e2, 1.0), np.nextafter(e2, 0.0), 1.0 - e2, np.nextafter(1.0 - e2, 1.0),
+        np.exp(-32.0), np.nextafter(np.exp(-32.0), 1.0), np.nextafter(np.exp(-32.0), 0.0),
+        # out of the domain: NaN, as in scipy
+        np.nan, -np.nan, -tiny, -1.0, np.nextafter(1.0, 2.0), 2.0, np.inf, -np.inf,
+    ])
+    assert_same_bits(privacy.ndtri(y), ndtri(y))
+    assert privacy.ndtri(0.0) == -np.inf and privacy.ndtri(1.0) == np.inf
+    assert np.isnan(privacy.ndtri(y[-8:])).all()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(), st.floats())
+def test_ndtr_and_ndtri_match_scipy_bits_property(x, y):
+    assert_same_bits(privacy.ndtr(np.array([x])), ndtr(np.array([x])))
+    assert_same_bits(privacy.ndtri(np.array([y])), ndtri(np.array([y])))
+    p = privacy.ndtr(np.array([x, x / 8.0]))
+    assert_same_bits(privacy.ndtri(p), ndtri(p))
