@@ -14,8 +14,9 @@ A timing is the best of 5 in-process runs.  A cold pipeline run is the best of
 times ``csvio.write_states_csv`` on the whole trajectory, per fraction written
 (three per row), and ``write_states_fallback_share`` is the share of those
 fractions that its kernel hands to Python's ``%``.  ``ndtr_ns_per_value`` times
-``privacy.ndtr`` on the arrays that the warm private pipeline's sampler passes
-it, per value, call overhead included.
+``privacy.ndtr`` on the arrays that a cold private pipeline run passes it, per
+value, call overhead included: its calibrations' ``delta_c`` evaluations, as the
+sampler calls ``ndtr`` only where no bound decides its branch.
 """
 
 import argparse
@@ -82,7 +83,7 @@ def layers(n: int, scratch: Path) -> dict:
     pseudo = build_matrix(net, state, MatrixKind.PSEUDO_EFFECTIVE).values
     fractions = np.stack([trajectory.s, trajectory.x, trajectory.r])
     private = functools.partial(rn.run_pipeline, net, state, partition, spec, clamp=CLAMP)
-    private()
+    clear_calibrations()
     sampled = ndtr_arguments(private)
     return {
         "clusters": partition.m,

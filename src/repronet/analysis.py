@@ -224,14 +224,15 @@ def rmse_sweep(
     matrices equal, bit for bit, those of ``trials`` runs of
     ``protocol.run_pipeline``, as they are its array steps run over all
     trials at once: exact reports once per state, ``protocol.private_reports``
-    (one calibration and box check per authority and state, trial t's noise
-    from the authority's ``(LOCAL_AUTHORITY, i, epoch, t)`` stream, seeded
-    from words derived once per sweep), then ``assemble_clusters``.  As in an
-    untraced pipeline run, no message is built and the shuffle, which cannot
-    change a bit, does not run.  Infeasible calibrations are reported per
-    epsilon instead of aborting the sweep; if every exact cluster entry is
-    zero, the percentage error is undefined and ``UndefinedRatioError`` is
-    raised before any noise is drawn.
+    (one calibration and box check per count of positive entries and state,
+    trial t's noise from the authority's ``(LOCAL_AUTHORITY, i, epoch, t)``
+    stream, seeded from words derived once per sweep), then
+    ``assemble_clusters``.  As in an untraced pipeline run, no message is
+    built and the shuffle, which cannot change a bit, does not run.
+    Infeasible calibrations are reported per epsilon instead of aborting the
+    sweep; if every exact cluster entry is zero, the percentage error is
+    undefined and ``UndefinedRatioError`` is raised before any noise is
+    drawn.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")

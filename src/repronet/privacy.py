@@ -41,9 +41,12 @@ Python float code whose ``exp``, ``log`` and ``sqrt`` are the C library's,
 as in the compiled Cephes.  A whole-array port over ``np.exp`` would be
 faster per value but not exact: numpy's SIMD ``exp`` is not libm's, and on
 x86-64 with numpy 2.4 it rounds about one argument in 20 in ``[-708, 0]``
-differently.  The noise path calls these on a few values at a time, where
-the scalar code costs little and scipy's import would cost more than the
-rest of the package.
+differently.  The noise path calls these on few values, where the scalar
+code costs little and scipy's import would cost more than the rest of the
+package: calibration's ``delta_c`` evaluates three per active entry, and the
+sampler evaluates a window's mass only where no bound already decides its
+branch (see ``_sample_box_truncated``), which on typical noise boxes is
+nowhere.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ __all__ = [
 # Below this acceptance probability the sampler switches from rejection
 # sampling to the inverse-CDF transform.
 _MIN_REJECTION_MASS = 0.05
+# Where max(beta, -alpha) reaches this, the mass exceeds Phi(0.2) - 1/2 > 0.079.
+_REJECTION_DECIDED = 0.2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Cephes constants: 1/sqrt(2), log(DBL_MAX) (erfc underflows past it), exp(-2), and
 # sqrt(2 pi) rounded correctly, one ulp above _SQRT_2PI
@@ -231,23 +236,39 @@ def _sample_box_truncated(
 ) -> np.ndarray:
     """Rows of truncated-Gaussian draws, row k from ``rngs[k]``.
 
-    Column j of every row draws from the parameters at index j.  Each
-    generator makes exactly the calls a one-row draw makes: the inverse-CDF
-    uniforms, one ``standard_normal`` per rejection round its row still
-    needs, then the fallback uniforms.  Only the accept test runs over all
-    rows at once, so row k is bit-identical to drawing it alone.
+    ``mu`` holds one centre per column, ``(d,)``, or a row of centres per
+    authority, ``(A, d)``, with ``len(rngs) // A`` generators each,
+    authority-major; ``sigma``, ``lower`` and ``upper`` hold one value per
+    column.  Each generator makes exactly the calls a one-row draw makes:
+    the inverse-CDF uniforms, one ``standard_normal`` per rejection round its
+    row still needs, then the fallback uniforms.  Only the accept test runs
+    over all rows at once, so row k is bit-identical to drawing it alone.
+
+    The branch is chosen once per authority and column.  The centre lies in
+    ``(lower, upper]``, so ``alpha < 0 <= beta`` and the window mass is at
+    least ``Phi(max(beta, -alpha)) - 1/2``, above 0.079 where
+    ``max(beta, -alpha) >= 0.2``: there the rejection branch is taken
+    without :func:`ndtr`.
     """
-    d = mu.size
+    mu = np.atleast_2d(mu)
+    authorities, d = mu.shape
+    per_authority = len(rngs) // authorities
     out = np.empty((len(rngs), d))
-    lo, hi = ndtr(np.array([(lower - mu) / sigma, (upper - mu) / sigma]))
+    alpha = (lower - mu) / sigma
+    beta = (upper - mu) / sigma
 
-    inverse = hi - lo < _MIN_REJECTION_MASS
-    if inverse.any():
-        u = np.stack([rng.uniform(lo[inverse], hi[inverse]) for rng in rngs])
-        out[:, inverse] = mu[inverse] + sigma[inverse] * ndtri(u)
+    undecided = np.maximum(beta, -alpha) < _REJECTION_DECIDED
+    lo, hi = np.zeros((2, authorities, d))
+    if undecided.any():
+        lo[undecided], hi[undecided] = ndtr(np.array([alpha[undecided], beta[undecided]]))
+    inverse = undecided & (hi - lo < _MIN_REJECTION_MASS)
+    for a in np.flatnonzero(inverse.any(axis=1)):
+        cols, rows = inverse[a], range(a * per_authority, (a + 1) * per_authority)
+        u = np.stack([rngs[k].uniform(lo[a, cols], hi[a, cols]) for k in rows])
+        out[rows.start : rows.stop, cols] = mu[a, cols] + sigma[cols] * ndtri(u)
 
-    flat = out.reshape(-1)
-    pending = np.flatnonzero(np.broadcast_to(~inverse, out.shape))  # row-major
+    flat, centres = out.reshape(-1), mu.reshape(-1)
+    pending = np.flatnonzero(np.repeat(~inverse, per_authority, axis=0))  # row-major
     rounds = 0
     while pending.size:
         if len(rngs) == 1:
@@ -256,15 +277,16 @@ def _sample_box_truncated(
             counts = np.bincount(pending // d)
             z = np.concatenate([rngs[k].standard_normal(counts[k]) for k in np.flatnonzero(counts)])
         col = pending % d
-        draw = mu[col] + sigma[col] * z
+        draw = centres[pending // (per_authority * d) * d + col] + sigma[col] * z
         ok = (draw > lower[col]) & (draw <= upper[col])
         flat[pending[ok]] = draw[ok]
         pending = pending[~ok]
         rounds += 1
         if rounds > 1000 and pending.size:  # acceptance >= 0.05 makes this unreachable
-            for k in np.unique(pending // d):
-                left = pending[pending // d == k] % d
-                out[k, left] = mu[left] + sigma[left] * ndtri(rngs[k].uniform(lo[left], hi[left]))
+            for k in np.flatnonzero(np.bincount(pending // d)):
+                a, left = k // per_authority, pending[pending // d == k] % d
+                lo, hi = ndtr(np.array([alpha[a, left], beta[a, left]]))
+                out[k, left] = mu[a, left] + sigma[left] * ndtri(rngs[k].uniform(lo, hi))
             break
 
     # Keep the support half-open despite round-off at the edges.
@@ -522,6 +544,32 @@ def _calibrate_cached(spec: PrivacySpec, mask: tuple) -> CalibratedMechanism:
     )
 
 
+def _box_values(zeta, mechanism: CalibratedMechanism) -> tuple[np.ndarray, ...]:
+    """The randomizer's checks of one report; its positive-entry mask, and the values and
+    box edges of those entries."""
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.shape != (mechanism.m,):
+        raise ConfigError(f"expected vector of length {mechanism.m}, got shape {zeta.shape}")
+    if (zeta < 0.0).any():
+        raise ConfigError("report vectors must be non-negative")
+    positive = zeta > 0.0
+    if tuple(positive.tolist()) != mechanism.support:
+        raise PrivacyBoundsError(
+            "support pattern of the vector differs from the calibrated pattern"
+        )
+    lower = np.array(mechanism.lower)[positive]
+    upper = np.array(mechanism.upper)[positive]
+    values = zeta[positive]
+    outside = (values <= lower) | (values > upper)
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])
+        raise PrivacyBoundsError(
+            f"entry value {values[bad]} lies outside its noise box "
+            f"({lower[bad]}, {upper[bad]}]; clamp reports before randomizing"
+        )
+    return positive, values, lower, upper
+
+
 def bounded_gaussian_randomize(
     zeta: np.ndarray,
     mechanism: CalibratedMechanism,
@@ -540,27 +588,8 @@ def bounded_gaussian_randomize(
     single = isinstance(rngs, np.random.Generator)
     if single:
         rngs = [rngs]
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (mechanism.m,):
-        raise ConfigError(f"expected vector of length {mechanism.m}, got shape {zeta.shape}")
-    if (zeta < 0.0).any():
-        raise ConfigError("report vectors must be non-negative")
-    positive = zeta > 0.0
-    if tuple(positive.tolist()) != mechanism.support:
-        raise PrivacyBoundsError(
-            "support pattern of the vector differs from the calibrated pattern"
-        )
-    out = np.zeros((len(rngs), zeta.size))
-    lower = np.array(mechanism.lower)[positive]
-    upper = np.array(mechanism.upper)[positive]
-    values = zeta[positive]
-    outside = (values <= lower) | (values > upper)
-    if outside.any():
-        bad = int(np.flatnonzero(outside)[0])
-        raise PrivacyBoundsError(
-            f"entry value {values[bad]} lies outside its noise box "
-            f"({lower[bad]}, {upper[bad]}]; clamp reports before randomizing"
-        )
+    positive, values, lower, upper = _box_values(zeta, mechanism)
+    out = np.zeros((len(rngs), mechanism.m))
     sigma = np.full(values.size, mechanism.sigma)
     out[:, positive] = _sample_box_truncated(values, sigma, lower, upper, rngs)
     return out[0] if single else out

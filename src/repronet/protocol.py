@@ -13,7 +13,8 @@ are array computations over every authority at once:
    are ``reproduction.report_matrix`` over all rows; each row has the bits
    of its authority's one-row call (``step3_preaggregate``);
 4. with privacy on, ``private_reports`` randomizes each report with the
-   bounded Gaussian local randomizer and its authority's own stream;
+   bounded Gaussian local randomizer and its authority's own stream, one
+   calibration, check and sampler call per count of positive entries;
 5. each cluster's shuffler anonymizes and uniformly permutes its reports;
 6. a cluster's vector is the sum of its members' reports over
    ``sum_{k in cluster} gamma_k * x_k`` (``reproduction.assemble_clusters``),
@@ -38,9 +39,15 @@ from typing import IO
 
 import numpy as np
 
-from .exceptions import ConfigError, ProtocolError
+from .exceptions import CalibrationInfeasibleError, ConfigError, ProtocolError
 from .model import EpidemicState, TransmissionNetwork, _check_size
-from .privacy import PrivacySpec, bounded_gaussian_randomize, shuffle
+from .privacy import (  # noqa: F401
+    PrivacySpec,
+    _box_values,
+    _sample_box_truncated,
+    bounded_gaussian_randomize,
+    shuffle,
+)
 from .reproduction import (
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
@@ -54,8 +61,12 @@ from .reproduction import (
 )
 from .seeding import StreamRole, generators, stream, stream_words, streams  # noqa: F401
 
-# ``stream`` is not called here; it stays bound because perfbench's traced
-# runs wrap it by this name.
+# ``stream`` and ``bounded_gaussian_randomize`` are not called here; they stay bound
+# because perfbench's traced runs wrap them by these names.
+
+# Generators per sampler call, in whole authorities (at least one), so that few are
+# alive at once and a many-trial sweep does not raise the peak resident set.
+_GENERATORS_PER_CALL = 256
 
 __all__ = [
     "LocalAggVector",
@@ -242,14 +253,45 @@ def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -
     the exact ``(n, m)`` reports under its support pattern's mechanism, trial t drawn
     from the generator seeded with ``words[i, t]`` (``seeding.stream_words``).
 
-    An all-zero report passes through unchanged, as there is nothing to
+    The authorities are grouped by their count of positive entries, which alone sets
+    the noise scale: each group is calibrated once (through ``spec.calibrate`` of its
+    first report's pattern), checked in arrays, and sampled in ``_sample_box_truncated``
+    calls of at most about ``_GENERATORS_PER_CALL`` generators.  Every row gets the bits,
+    and a failing input the error, of a ``bounded_gaussian_randomize`` call per authority
+    in order: the first failing authority raises, its calibration checked before its
+    values.  An all-zero report passes through unchanged, as there is nothing to
     calibrate; a draw below zero (a box reaching below it) fails the report check.
     """
-    out = np.empty((words.shape[1],) + reports.shape)
+    trials = words.shape[1]
+    out = np.empty((trials,) + reports.shape)
     out[:] = reports
-    for i, zeta in enumerate(reports):
-        if np.any(zeta > 0.0):
-            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), generators(words[i]))
+    positive = reports > 0.0
+    counts = np.count_nonzero(positive, axis=1)
+    sigmas, failed = {}, np.zeros(len(reports), dtype=bool)
+    for d in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():  # each count that occurs, zero aside
+        group = counts == d
+        try:
+            sigmas[d] = spec.calibrate(positive[np.argmax(group)]).sigma
+        except CalibrationInfeasibleError:
+            failed |= group
+    lower, upper = spec.bounds
+    outside = positive & ((reports <= lower) | (reports > upper))
+    failed |= (counts > 0) & np.any((reports < 0.0) | outside, axis=1)
+    for i in np.flatnonzero(failed):  # raises at the first, as its one-row call would
+        _box_values(reports[i], spec.calibrate(positive[i]))
+
+    per_call = max(1, _GENERATORS_PER_CALL // trials)
+    for d, sigma in sigmas.items():
+        group = np.flatnonzero(counts == d)
+        for chunk in np.split(group, range(per_call, group.size, per_call)):
+            mask = positive[chunk]
+            rows = _sample_box_truncated(
+                reports[chunk][mask].reshape(-1, d), np.full(d, sigma), np.full(d, lower),
+                np.full(d, upper), generators(words[chunk].reshape(-1, 4)),
+            )
+            block = np.zeros((trials, chunk.size, reports.shape[1]))
+            block[:, mask] = rows.reshape(chunk.size, trials, d).transpose(1, 0, 2).reshape(trials, -1)
+            out[:, chunk] = block
     if np.any(out < 0.0):
         raise ConfigError("report entries must be finite and >= 0")
     return out

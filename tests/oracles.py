@@ -79,7 +79,7 @@ from repronet.reproduction import (
     report_matrix,
     spectral_radius as package_spectral_radius,
 )
-from repronet.seeding import StreamRole, streams
+from repronet.seeding import StreamRole, generators, streams
 
 
 def strongly_connected(b):
@@ -364,6 +364,28 @@ def sample_box_truncated_one_generator(mu, sigma, lower, upper, rng):
     # Keep the support half-open despite round-off at the edges.
     open_lower = np.nextafter(lower, upper)
     return np.minimum(np.maximum(out, open_lower), upper)
+
+
+def private_reports_reference(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -> np.ndarray:
+    """Every authority's randomized report in every trial, ``(trials, n, m)``: row i of
+    the exact ``(n, m)`` reports under its support pattern's mechanism, trial t drawn
+    from the generator seeded with ``words[i, t]`` (``seeding.stream_words``).
+
+    An all-zero report passes through unchanged, as there is nothing to
+    calibrate; a draw below zero (a box reaching below it) fails the report check.
+
+    The package's kernel before it grouped the authorities by support count,
+    one ``bounded_gaussian_randomize`` call per authority, kept unchanged as
+    the reference for its bits and its errors.
+    """
+    out = np.empty((words.shape[1],) + reports.shape)
+    out[:] = reports
+    for i, zeta in enumerate(reports):
+        if np.any(zeta > 0.0):
+            out[:, i] = bounded_gaussian_randomize(zeta, spec.calibrate(zeta > 0.0), generators(words[i]))
+    if np.any(out < 0.0):
+        raise ConfigError("report entries must be finite and >= 0")
+    return out
 
 
 def _rhs(b: np.ndarray, gamma: np.ndarray, s: np.ndarray, x: np.ndarray, kind: ModelKind):

@@ -195,8 +195,9 @@ def test_rmse_sweep_all_zero_exact_matrix_draws_no_noise(monkeypatch):
     def no_noise(*args, **kwargs):
         raise AssertionError("noise drawn")
 
-    # the randomizer binding that the shared report kernel calls
-    monkeypatch.setattr("repronet.protocol.bounded_gaussian_randomize", no_noise)
+    # the noise kernel that the sweep calls; the exact reports are all zero, so the
+    # sampler inside it would never run, and only a call of the kernel shows noise drawn
+    monkeypatch.setattr("repronet.analysis.private_reports", no_noise)
     with pytest.raises(UndefinedRatioError, match="every exact cluster entry is zero"):
         rmse_sweep(net, [state], rn.Partition.whole(1), [1.0], trials=3, master_seed=0)
 

@@ -299,6 +299,26 @@ code = main(sys.argv[1:])
 print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
+NUMPY_MA_AFTER_MAIN = """
+import sys
+from repronet.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "template, command",
+    [(CLUSTERED, ["pipeline"]), (EIGHT_MEMBER_CLUSTERS, ["accuracy", "--trials", "5"])],
+    ids=["private-pipeline", "accuracy"],
+)
+def test_noise_commands_never_import_numpy_ma(tmp_path, template, command):
+    # numpy.ma (which np.unique imports) would add about 0.7 MiB to the command's peak RSS
+    config = write_config(tmp_path, template)
+    printed = run_fresh(NUMPY_MA_AFTER_MAIN, *command, "--config", str(config))
+    assert printed.splitlines()[-1] == "0 False"
+
+
 SCIPY_BLOCKED = """
 import sys
 sys.modules["scipy"] = None  # importing scipy now raises ImportError

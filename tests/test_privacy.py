@@ -362,13 +362,20 @@ class _Recorder:
 
 
 def _rows_match_one_generator_calls(mu, sigma, lower, upper, seeds, normal=None):
-    """Rows from one generator each equal one-generator draws, call for call."""
+    """Rows from one generator each equal one-generator draws, call for call.
+
+    ``mu`` is one row of centres for every generator, or one row per
+    authority with ``len(seeds) // len(mu)`` generators each.
+    """
     many = [_Recorder(seed, normal) for seed in seeds]
     rows = _sample_box_truncated(mu, sigma, lower, upper, many)
-    assert rows.shape == (len(seeds), mu.size)
-    for row, rec, seed in zip(rows, many, seeds):
+    centres = np.atleast_2d(mu)
+    per_authority = len(seeds) // len(centres)
+    assert rows.shape == (len(seeds), centres.shape[1])
+    for k, (row, rec, seed) in enumerate(zip(rows, many, seeds)):
         one = _Recorder(seed, normal)
-        expected = oracles.sample_box_truncated_one_generator(mu, sigma, lower, upper, one)
+        centre = centres[k // per_authority]
+        expected = oracles.sample_box_truncated_one_generator(centre, sigma, lower, upper, one)
         assert row.tobytes() == expected.tobytes()
         assert rec.calls == one.calls
     return rows, many
@@ -417,6 +424,78 @@ def test_sampler_rows_match_one_generator_round_cap():
     )
     assert all(len(rec.calls) == 1002 and rec.calls[-1] == ("uniform", 2) for rec in recs)
     assert np.all(rows > 0.0) and np.all(rows <= 14.0)
+
+
+# box width 0.1256 sigma: a centred window holds mass just above 0.05, one at
+# an edge just below, so the branch depends on where the centre sits
+MIXED_SIGMA = 1.0 / 0.1256
+
+
+def test_sampler_rows_match_one_generator_per_row_centres():
+    # column 0 is on the rejection branch for centred rows and on the inverse
+    # CDF for rows at an edge; column 1 is always inverse, column 2 rejects
+    # without evaluating its mass, column 3 evaluates it and rejects
+    lower, upper = np.zeros(4), np.array([1.0, 1.0, 14.0, 1.0])
+    sigma = np.array([MIXED_SIGMA, 50.0, 0.5, 5.0])
+    mu = np.array([
+        [0.5, 1.0, 1e-3, 0.5],
+        [1.0, 0.5, 7.0, 0.9],
+        [1e-9, 1e-3, 13.9, 1e-3],
+    ])
+    mass = ndtr((upper - mu) / sigma) - ndtr((lower - mu) / sigma)
+    assert list(mass[:, 0] < 0.05) == [False, True, True] and np.all(mass[:, 1] < 0.05)
+    for trials in (1, 3):
+        rows, recs = _rows_match_one_generator_calls(mu, sigma, lower, upper, range(3 * trials))
+        assert [rec.calls[0] for rec in recs[::trials]] == [("uniform", 1), ("uniform", 2), ("uniform", 2)]
+        assert np.all(rows > 0.0) and np.all(rows <= upper)
+
+
+def test_sampler_rows_match_one_generator_per_row_open_lower_edge():
+    # the two-ulp box of the shared-centre test, with one authority on each edge
+    lower = np.array([1.0])
+    upper = np.array([np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
+    mu = np.array([[upper[0]], [np.nextafter(1.0, 2.0)]])
+    rows, _ = _rows_match_one_generator_calls(mu, np.ones(1), lower, upper, range(24))
+    assert rows[3, 0] == np.nextafter(1.0, 2.0)
+    assert np.all(rows > 1.0)
+
+
+def test_sampler_rows_match_one_generator_per_row_round_cap():
+    # every normal draw lands outside the box; each row takes the fallback for the
+    # columns it samples by rejection, the first authority's inverse column aside
+    mu = np.array([[2.0, 1.0], [5.0, 0.5]])
+    sigma, upper = np.array([1.0, MIXED_SIGMA]), np.array([14.0, 1.0])
+    rows, recs = _rows_match_one_generator_calls(mu, sigma, np.zeros(2), upper, range(6), normal=1e6)
+    assert all(rec.calls[0] == ("uniform", 1) and len(rec.calls) == 1003 for rec in recs[:3])
+    assert all(len(rec.calls) == 1002 and rec.calls[-1] == ("uniform", 2) for rec in recs[3:])
+    assert np.all(rows > 0.0) and np.all(rows <= upper)
+
+
+def test_sampler_skips_ndtr_where_the_bound_decides(monkeypatch):
+    # max(beta, -alpha) >= 0.2 in every column: rejection without a normal CDF
+    calls = []
+    monkeypatch.setattr(privacy, "ndtr", lambda x: calls.append(np.size(x)) or ndtr(x))
+    mu = np.array([[1e-3, 7.0, 14.0], [0.5, 0.1, 2e-3]])
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    _sample_box_truncated(mu, np.full(3, 0.5), np.zeros(3), np.full(3, 14.0), rngs)
+    assert calls == []
+    # only the column whose mass no bound decides is evaluated, in one call
+    _sample_box_truncated(mu, np.array([0.5, 200.0, 0.5]), np.zeros(3), np.full(3, 14.0), rngs)
+    assert calls == [4]
+
+
+@given(
+    alpha=st.floats(-40.0, 0.0, exclude_max=True),
+    beta=st.floats(0.0, 40.0),
+)
+@example(alpha=-1e-300, beta=0.2)
+@example(alpha=-0.2, beta=0.0)
+@settings(max_examples=500)
+def test_rejection_decided_bound_is_sound(alpha, beta):
+    # a centre in (l, u] puts alpha < 0 <= beta; where the sampler skips the normal
+    # CDF, the window mass it would have compared with 0.05 is above it
+    if max(beta, -alpha) >= privacy._REJECTION_DECIDED:
+        assert privacy.ndtr(beta) - privacy.ndtr(alpha) >= privacy._MIN_REJECTION_MASS
 
 
 def test_randomizer_rows_match_one_generator_calls():

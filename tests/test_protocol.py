@@ -1,5 +1,6 @@
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from hypothesis import strategies as st
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
+from repronet import protocol
 from repronet.exceptions import (
     CalibrationInfeasibleError,
     ConfigError,
     ProtocolError,
+    RepronetError,
     UndefinedRatioError,
 )
 from repronet.protocol import (
     LocalAggVector,
     ShuffledBatch,
+    private_reports,
     run_pipeline,
     step3_preaggregate,
     step6_assemble,
@@ -28,6 +32,7 @@ from repronet.reproduction import (
     floored_infections,
     report_matrix,
 )
+from repronet.seeding import StreamRole, stream_words
 
 
 def figure_partition():
@@ -385,3 +390,48 @@ def test_untraced_pipeline_builds_no_messages(rng, monkeypatch):
         monkeypatch.setattr(f"repronet.protocol.{name}", forbidden)
     got = [run_pipeline(net, state, partition, spec, master_seed=4).values.tobytes() for spec in specs]
     assert got == expected
+
+
+def _outcome(fn, *args):
+    """The bytes ``fn`` returns, or the type and message of the package error it raises."""
+    try:
+        return fn(*args).tobytes()
+    except RepronetError as exc:
+        return type(exc), str(exc)
+
+
+PARITY_SPECS = [
+    SPEC,
+    rn.PrivacySpec(epsilon0=0.05, k=30.0, bounds=(0.0, 14.0)),  # feasible for one active entry only
+    INFEASIBLE,
+    rn.PrivacySpec(epsilon0=1.0, k=1.0, bounds=(-1.0, 14.0)),  # draws can fall below zero
+    rn.PrivacySpec(epsilon0=1.0, k=1e-5, bounds=(0.5, 14.0)),  # positive values at or below the box
+]
+# zero, in the box of every spec, on the upper edge, on or below the raised lower edge,
+# above the box, negative
+PARITY_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 14.0, 0.5, 0.25, 15.0, -1.0]),
+    st.floats(1e-3, 13.0),
+)
+
+
+@given(
+    spec=st.sampled_from(PARITY_SPECS),
+    reports=st.integers(0, 6).flatmap(
+        lambda n: st.integers(1, 4).flatmap(
+            lambda m: st.lists(st.lists(PARITY_ENTRIES, min_size=m, max_size=m), min_size=n, max_size=n)
+            .map(lambda rows: np.array(rows, dtype=float).reshape(n, m))
+        )
+    ),
+    trials=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    cap=st.sampled_from([1, 2, 7, 256]),
+)
+@settings(max_examples=300, deadline=None)
+def test_private_reports_match_per_authority_reference_property(spec, reports, trials, seed, cap):
+    # the same bytes, or the same error, as one randomizer call per authority in order:
+    # the first failing authority wins, its calibration checked before its values
+    words = stream_words(seed, StreamRole.LOCAL_AUTHORITY, range(len(reports)), 2, range(trials))
+    expected = _outcome(oracles.private_reports_reference, reports, spec, words)
+    with mock.patch.object(protocol, "_GENERATORS_PER_CALL", cap):  # groups split across calls
+        assert _outcome(private_reports, reports, spec, words) == expected
