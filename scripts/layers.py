@@ -16,7 +16,9 @@ times ``csvio.write_states_csv`` on the whole trajectory, per fraction written
 fractions that its kernel hands to Python's ``%``.  ``ndtr_ns_per_value`` times
 ``privacy.ndtr`` on the arrays that a cold private pipeline run passes it, per
 value, call overhead included: its calibrations' ``delta_c`` evaluations, as the
-sampler calls ``ndtr`` only where no bound decides its branch.
+sampler calls ``ndtr`` only where no bound decides its branch.  ``rmse_sweep_ms``
+times ``analysis.rmse_sweep`` over ``epsilon0`` in {1, 2, 3} with 50 trials on
+the states after 0, 100 and 200 steps, its calibrations cached.
 """
 
 import argparse
@@ -31,12 +33,13 @@ from pathlib import Path
 import numpy as np
 
 import repronet as rn
-from repronet import csvio, privacy
+from repronet import analysis, csvio, privacy
 from repronet.reproduction import MatrixKind, Partition, build_matrix, cern_vector, cluster_matrix, spectral_radius
 
 # n -> (clusters, edge density)
 SIZES = {8: (3, 0.5), 50: (5, 0.3), 200: (10, 0.1), 1000: (20, 0.02)}
 STEPS, DT, CLAMP = 200, 0.01, (0.0, 14.0)
+RMSE_EPS, RMSE_TRIALS, RMSE_EVERY = (1.0, 2.0, 3.0), 50, 100
 
 
 def instance(n: int):
@@ -99,6 +102,11 @@ def layers(n: int, scratch: Path) -> dict:
         / fractions.size * 1e9,
         "write_states_fallback_share": float(1.0 - np.mean(csvio._fast(fractions))),
         "ndtr_ns_per_value": best(lambda: [privacy.ndtr(a) for a in sampled]) / sum(a.size for a in sampled) * 1e9,
+        "rmse_sweep_ms": best(
+            lambda: analysis.rmse_sweep(
+                net, trajectory[::RMSE_EVERY], partition, RMSE_EPS, RMSE_TRIALS, 0, clamp=CLAMP
+            )
+        ) * 1e3,
     }
 
 

@@ -226,8 +226,9 @@ def rmse_sweep(
     trials at once: exact reports once per state, ``protocol.private_reports``
     (one calibration and box check per count of positive entries and state,
     trial t's noise from the authority's ``(LOCAL_AUTHORITY, i, epoch, t)``
-    stream, seeded from words derived once per sweep), then
-    ``assemble_clusters``.  As in an untraced pipeline run, no message is
+    stream, seeded from words derived once per sweep and drawn through one
+    ``seeding.StreamBank`` per epoch and epsilon, with no generator built),
+    then ``assemble_clusters``.  As in an untraced pipeline run, no message is
     built and the shuffle, which cannot change a bit, does not run.
     Infeasible calibrations are reported per epsilon instead of aborting the
     sweep; if every exact cluster entry is zero, the percentage error is

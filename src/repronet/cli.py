@@ -145,22 +145,19 @@ def _cmd_pipeline(args) -> int:
         ctx = _Context(args)
         scenario = ctx.scenario
         spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
-        matrices = []
-        for epoch, state in zip(scenario.sampled_epochs(), ctx.sampled(ctx.trajectory())):
-            matrix = protocol.run_pipeline(
-                ctx.net,
-                state,
-                ctx.partition,
-                spec,
-                master_seed=scenario.seed,
-                epoch=epoch,
-                floor=scenario.infection_floor,
-                clamp=scenario.privacy.clamp,
-                trace=trace_fh,
-            )
-            matrices.append((state.t, matrix.values))
+        matrices = protocol.run_pipeline(
+            ctx.net,
+            ctx.sampled(ctx.trajectory()),
+            ctx.partition,
+            spec,
+            master_seed=scenario.seed,
+            epoch=scenario.sampled_epochs(),
+            floor=scenario.infection_floor,
+            clamp=scenario.privacy.clamp,
+            trace=trace_fh,
+        )
     kind = "cluster" if spec is None else "cluster_private"
-    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(matrices, kind))
+    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(((m.t, m.values) for m in matrices), kind))
     mode = "no privacy" if spec is None else f"epsilon0={spec.epsilon0:g}"
     print(f"pipeline ({mode}) wrote {ctx.out / 'cluster_rn.csv'} ({len(matrices)} epochs)")
     return 0

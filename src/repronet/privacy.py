@@ -64,6 +64,7 @@ from .exceptions import (
     DegenerateTruncationError,
     PrivacyBoundsError,
 )
+from .seeding import StreamBank
 
 __all__ = [
     "ndtr",
@@ -227,22 +228,44 @@ class TruncGaussParams:
         return (self.upper - self.mu) / self.sigma
 
 
+class _GeneratorDraws:
+    """A sequence of generators behind ``StreamBank``'s two draw calls, each answered by the
+    calls a one-row draw makes on every generator it reaches."""
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self.rngs = rngs
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def normals(self, counts) -> np.ndarray:
+        return np.concatenate([self.rngs[k].standard_normal(counts[k]) for k in np.flatnonzero(counts)])
+
+    def uniform(self, rows, low, high) -> np.ndarray:
+        return np.stack([self.rngs[k].uniform(low, high) for k in rows])
+
+
 def _sample_box_truncated(
     mu: np.ndarray,
     sigma: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    rngs: StreamBank | Sequence[np.random.Generator],
+    active: np.ndarray | bool = True,
 ) -> np.ndarray:
-    """Rows of truncated-Gaussian draws, row k from ``rngs[k]``.
+    """Rows of truncated-Gaussian draws, row k from stream k of ``rngs``: a ``StreamBank``,
+    or a sequence of generators, which ``_GeneratorDraws`` puts behind the bank's calls.
 
     ``mu`` holds one centre per column, ``(d,)``, or a row of centres per
-    authority, ``(A, d)``, with ``len(rngs) // A`` generators each,
-    authority-major; ``sigma``, ``lower`` and ``upper`` hold one value per
-    column.  Each generator makes exactly the calls a one-row draw makes:
-    the inverse-CDF uniforms, one ``standard_normal`` per rejection round its
-    row still needs, then the fallback uniforms.  Only the accept test runs
-    over all rows at once, so row k is bit-identical to drawing it alone.
+    authority, ``(A, d)``, with ``len(rngs) // A`` streams each,
+    authority-major; ``sigma``, ``lower`` and ``upper`` broadcast against it,
+    and so does ``active``, which marks the entries drawn (the others are left
+    zero).  All draws go through two calls, ``normals(counts per row)`` and
+    ``uniform(rows, lo, hi)``, and each stream makes exactly the draws a
+    one-row draw of its active entries makes: the inverse-CDF uniforms, one
+    normal per rejection round for each entry its row still needs, then the
+    fallback uniforms.  Only the accept test runs over all rows at once, so
+    row k is bit-identical to drawing it alone.
 
     The branch is chosen once per authority and column.  The centre lies in
     ``(lower, upper]``, so ``alpha < 0 <= beta`` and the window mass is at
@@ -250,35 +273,34 @@ def _sample_box_truncated(
     ``max(beta, -alpha) >= 0.2``: there the rejection branch is taken
     without :func:`ndtr`.
     """
+    draws = rngs if isinstance(rngs, StreamBank) else _GeneratorDraws(rngs)
     mu = np.atleast_2d(mu)
+    sigma, lower, upper = (np.ascontiguousarray(np.broadcast_to(v, mu.shape)) for v in (sigma, lower, upper))
     authorities, d = mu.shape
-    per_authority = len(rngs) // authorities
-    out = np.empty((len(rngs), d))
+    per_authority = len(draws) // authorities
+    out = np.zeros((len(draws), d))
     alpha = (lower - mu) / sigma
     beta = (upper - mu) / sigma
 
-    undecided = np.maximum(beta, -alpha) < _REJECTION_DECIDED
+    drawn = np.broadcast_to(active, mu.shape)
+    undecided = drawn & (np.maximum(beta, -alpha) < _REJECTION_DECIDED)
     lo, hi = np.zeros((2, authorities, d))
     if undecided.any():
         lo[undecided], hi[undecided] = ndtr(np.array([alpha[undecided], beta[undecided]]))
     inverse = undecided & (hi - lo < _MIN_REJECTION_MASS)
     for a in np.flatnonzero(inverse.any(axis=1)):
-        cols, rows = inverse[a], range(a * per_authority, (a + 1) * per_authority)
-        u = np.stack([rngs[k].uniform(lo[a, cols], hi[a, cols]) for k in rows])
-        out[rows.start : rows.stop, cols] = mu[a, cols] + sigma[cols] * ndtri(u)
+        cols, first = inverse[a], a * per_authority
+        u = draws.uniform(np.arange(first, first + per_authority), lo[a, cols], hi[a, cols])
+        out[first : first + per_authority, cols] = mu[a, cols] + sigma[a, cols] * ndtri(u)
 
-    flat, centres = out.reshape(-1), mu.reshape(-1)
-    pending = np.flatnonzero(np.repeat(~inverse, per_authority, axis=0))  # row-major
+    flat = out.reshape(-1)
+    pending = np.flatnonzero(np.repeat(drawn & ~inverse, per_authority, axis=0))  # row-major
     rounds = 0
     while pending.size:
-        if len(rngs) == 1:
-            z = rngs[0].standard_normal(pending.size)
-        else:
-            counts = np.bincount(pending // d)
-            z = np.concatenate([rngs[k].standard_normal(counts[k]) for k in np.flatnonzero(counts)])
-        col = pending % d
-        draw = centres[pending // (per_authority * d) * d + col] + sigma[col] * z
-        ok = (draw > lower[col]) & (draw <= upper[col])
+        z = draws.normals(np.bincount(pending // d, minlength=len(draws)))
+        cell = pending // (per_authority * d) * d + pending % d  # its authority's entry
+        draw = np.take(mu, cell) + np.take(sigma, cell) * z
+        ok = (draw > np.take(lower, cell)) & (draw <= np.take(upper, cell))
         flat[pending[ok]] = draw[ok]
         pending = pending[~ok]
         rounds += 1
@@ -286,12 +308,12 @@ def _sample_box_truncated(
             for k in np.flatnonzero(np.bincount(pending // d)):
                 a, left = k // per_authority, pending[pending // d == k] % d
                 lo, hi = ndtr(np.array([alpha[a, left], beta[a, left]]))
-                out[k, left] = mu[a, left] + sigma[left] * ndtri(rngs[k].uniform(lo, hi))
+                out[k, left] = mu[a, left] + sigma[a, left] * ndtri(draws.uniform([k], lo, hi)[0])
             break
 
-    # Keep the support half-open despite round-off at the edges.
-    open_lower = np.nextafter(lower, upper)
-    return np.minimum(np.maximum(out, open_lower), upper)
+    # Keep the support half-open despite round-off at the edges; entries not drawn stay zero.
+    open_lower, upper, drawn = (np.repeat(v, per_authority, axis=0) for v in (np.nextafter(lower, upper), upper, drawn))
+    return np.where(drawn, np.minimum(np.maximum(out, open_lower), upper), 0.0)
 
 
 def trunc_gauss_sample(

@@ -1,4 +1,5 @@
-"""The private aggregation pipeline, one epoch per ``run_pipeline`` call.
+"""The private aggregation pipeline, over one epoch or a trajectory's epochs per
+``run_pipeline`` call.
 
 The paper's parties are local authorities, one shuffler and one aggregator
 per cluster, a data center and the central authority.  Their seven steps
@@ -13,8 +14,9 @@ are array computations over every authority at once:
    are ``reproduction.report_matrix`` over all rows; each row has the bits
    of its authority's one-row call (``step3_preaggregate``);
 4. with privacy on, ``private_reports`` randomizes each report with the
-   bounded Gaussian local randomizer and its authority's own stream, one
-   calibration, check and sampler call per count of positive entries;
+   bounded Gaussian local randomizer and its authority's own stream, with
+   one calibration and check per count of positive entries and one sampler
+   call over every epoch of the call;
 5. each cluster's shuffler anonymizes and uniformly permutes its reports;
 6. a cluster's vector is the sum of its members' reports over
    ``sum_{k in cluster} gamma_k * x_k`` (``reproduction.assemble_clusters``),
@@ -25,8 +27,8 @@ With privacy off this is ``reproduction.cluster_matrix``, bit for bit, and
 ``analysis.rmse_sweep`` runs the same steps over many trials.  The message
 dataclasses below exist for the audit trace: with a ``trace`` sink,
 ``run_pipeline`` builds them from the computed arrays, shuffle included, and
-writes one line per message in sending order, after the matrix is computed,
-so an epoch that fails writes none.
+writes one line per message in sending order, epoch by epoch, after every
+matrix of the call is computed, so a call that fails writes none.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .exceptions import CalibrationInfeasibleError, ConfigError, ProtocolError
-from .model import EpidemicState, TransmissionNetwork, _check_size
+from .exceptions import CalibrationInfeasibleError, ConfigError, ProtocolError, RepronetError
+from .model import EpidemicState, TransmissionNetwork, Trajectory, _check_size
 from .privacy import (  # noqa: F401
     PrivacySpec,
     _box_values,
@@ -59,14 +62,10 @@ from .reproduction import (
     floored_infections,
     report_matrix,
 )
-from .seeding import StreamRole, generators, stream, stream_words, streams  # noqa: F401
+from .seeding import StreamBank, StreamRole, stream, stream_words, streams  # noqa: F401
 
 # ``stream`` and ``bounded_gaussian_randomize`` are not called here; they stay bound
 # because perfbench's traced runs wrap them by these names.
-
-# Generators per sampler call, in whole authorities (at least one), so that few are
-# alive at once and a many-trial sweep does not raise the peak resident set.
-_GENERATORS_PER_CALL = 256
 
 __all__ = [
     "LocalAggVector",
@@ -249,25 +248,29 @@ class LocalAuthority:
 
 
 def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -> np.ndarray:
-    """Every authority's randomized report in every trial, ``(trials, n, m)``: row i of
-    the exact ``(n, m)`` reports under its support pattern's mechanism, trial t drawn
-    from the generator seeded with ``words[i, t]`` (``seeding.stream_words``).
+    """Every authority's randomized report in every trial, ``(trials,) + reports.shape``:
+    row i of the exact ``(n, m)`` reports, or of each epoch's in an ``(epochs, n, m)``
+    stack, under its support pattern's mechanism, trial t drawn from the stream seeded
+    with ``words[..., i, t, :]`` (``seeding.stream_words``).
 
-    The authorities are grouped by their count of positive entries, which alone sets
-    the noise scale: each group is calibrated once (through ``spec.calibrate`` of its
-    first report's pattern), checked in arrays, and sampled in ``_sample_box_truncated``
-    calls of at most about ``_GENERATORS_PER_CALL`` generators.  Every row gets the bits,
-    and a failing input the error, of a ``bounded_gaussian_randomize`` call per authority
-    in order: the first failing authority raises, its calibration checked before its
-    values.  An all-zero report passes through unchanged, as there is nothing to
-    calibrate; a draw below zero (a box reaching below it) fails the report check.
+    The rows are grouped by their count of positive entries, which alone sets the noise
+    scale: each group is calibrated once (through ``spec.calibrate`` of its first report's
+    pattern) and checked in arrays.  Every row is then sampled, at its group's scale, in one
+    ``_sample_box_truncated`` call from one ``StreamBank`` of all their streams, so no
+    generator is built.  Every row gets the bits, and a failing input the error,
+    of a ``bounded_gaussian_randomize`` call per authority in order, epoch by epoch: the
+    first failing authority raises, its calibration checked before its values, unless an
+    earlier epoch drew a value below zero (a box reaching below it), which fails the report
+    check.  An all-zero report passes through unchanged, as there is nothing to calibrate.
     """
-    trials = words.shape[1]
-    out = np.empty((trials,) + reports.shape)
-    out[:] = reports
-    positive = reports > 0.0
+    trials, m = words.shape[-2], reports.shape[-1]
+    flat = reports.reshape(-1, m)
+    words = words.reshape(len(flat), trials, 4)
+    out = np.empty((trials,) + flat.shape)
+    out[:] = flat
+    positive = flat > 0.0
     counts = np.count_nonzero(positive, axis=1)
-    sigmas, failed = {}, np.zeros(len(reports), dtype=bool)
+    sigmas, failed = {}, np.zeros(len(flat), dtype=bool)
     for d in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():  # each count that occurs, zero aside
         group = counts == d
         try:
@@ -275,26 +278,27 @@ def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -
         except CalibrationInfeasibleError:
             failed |= group
     lower, upper = spec.bounds
-    outside = positive & ((reports <= lower) | (reports > upper))
-    failed |= (counts > 0) & np.any((reports < 0.0) | outside, axis=1)
-    for i in np.flatnonzero(failed):  # raises at the first, as its one-row call would
-        _box_values(reports[i], spec.calibrate(positive[i]))
+    outside = positive & ((flat <= lower) | (flat > upper))
+    failed |= (counts > 0) & np.any((flat < 0.0) | outside, axis=1)
+    end = len(flat)  # the rows of the epochs before the first that fails its checks
+    if failed.any():
+        first = int(np.argmax(failed))
+        end = first - first % reports.shape[-2]
 
-    per_call = max(1, _GENERATORS_PER_CALL // trials)
-    for d, sigma in sigmas.items():
-        group = np.flatnonzero(counts == d)
-        for chunk in np.split(group, range(per_call, group.size, per_call)):
-            mask = positive[chunk]
-            rows = _sample_box_truncated(
-                reports[chunk][mask].reshape(-1, d), np.full(d, sigma), np.full(d, lower),
-                np.full(d, upper), generators(words[chunk].reshape(-1, 4)),
-            )
-            block = np.zeros((trials, chunk.size, reports.shape[1]))
-            block[:, mask] = rows.reshape(chunk.size, trials, d).transpose(1, 0, 2).reshape(trials, -1)
-            out[:, chunk] = block
-    if np.any(out < 0.0):
+    group = np.flatnonzero(counts[:end])  # every row with a positive entry has a sigma here
+    if group.size:
+        sigma = np.zeros(m + 1)
+        sigma[list(sigmas)] = list(sigmas.values())
+        drawn = _sample_box_truncated(
+            flat[group], sigma[counts[group], None], lower, upper,
+            StreamBank(words[group].reshape(-1, 4)), positive[group],
+        )
+        out[:, group] = drawn.reshape(group.size, trials, m).transpose(1, 0, 2)
+    if np.any(out[:, :end] < 0.0):
         raise ConfigError("report entries must be finite and >= 0")
-    return out
+    for i in np.flatnonzero(failed):  # raises at the first, as its one-row call would
+        _box_values(flat[i], spec.calibrate(positive[i]))
+    return out.reshape((trials,) + reports.shape)
 
 
 def _record(sink: IO[str], step: int, sender: str, receiver: str, message) -> None:
@@ -327,35 +331,55 @@ def _write_trace(sink, request, reports, matrix, shuffler_rngs) -> None:
 
 def run_pipeline(
     net: TransmissionNetwork,
-    state: EpidemicState,
+    state: EpidemicState | Trajectory,
     partition: Partition,
     spec: PrivacySpec | None = None,
     *,
     master_seed: int = 0,
-    epoch: int = 0,
+    epoch: int | Sequence[int] = 0,
     trial: int = 0,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
     clamp: tuple[float, float] | None = None,
     trace: IO[str] | None = None,
-) -> ClusterRnMatrix:
-    """Execute one epoch of the aggregation pipeline.
+) -> ClusterRnMatrix | list[ClusterRnMatrix]:
+    """Execute one epoch of the aggregation pipeline, or one per row of a ``Trajectory``.
 
-    With ``spec=None`` the randomizer step is skipped and the result equals
-    the directly computed cluster matrix.
+    A ``Trajectory`` takes ``epoch`` as one epoch number per row and returns one
+    matrix per row.  Its rows get the bits, and a failing run the error, of one
+    call per state in order, while the noise of every epoch is drawn in a single
+    ``private_reports`` call; the trace lines follow in epoch order.  With
+    ``spec=None`` the randomizer step is skipped and each result equals the
+    directly computed cluster matrix.
     """
+    stacked = isinstance(state, Trajectory)
+    times, s_rows, x_rows = (state.t, state.s, state.x) if stacked else ([state.t], [state.s], [state.x])
+    epochs = list(epoch) if stacked else [epoch]
     if state.n != net.n or partition.n != net.n:
         raise ConfigError("network, state, and partition sizes must agree")
+    if len(epochs) != len(times):
+        raise ConfigError(f"expected one epoch per state, got {len(epochs)} for {len(times)} states")
     private = spec is not None
-    # the authorities' stream seeds; with privacy off there are none, but the key is checked
+    # the authorities' stream seeds; with privacy off there are none, but each key is checked
     authorities = range(net.n if private else 0)
-    words = stream_words(master_seed, StreamRole.LOCAL_AUTHORITY, authorities, epoch, (trial,))
-    x_f = floored_infections(state.x, floor)
-    reports = report_matrix(net.b, net.gamma, state.s, x_f, np.arange(net.n), partition, clamp)
-    if private:
-        reports = private_reports(reports, spec, words)[0]
-    values = assemble_clusters(reports, cluster_weight_sums(net.gamma, x_f, partition), partition)
-    matrix = ClusterRnMatrix(values=values, t=float(state.t), private=private)
+    words, floored, reports, failure = [], [], [], None
+    try:  # an epoch that fails here does so after the earlier epochs' noise, as in a loop over epochs
+        for e, s, x in zip(epochs, s_rows, x_rows):
+            words.append(stream_words(master_seed, StreamRole.LOCAL_AUTHORITY, authorities, e, (trial,)))
+            floored.append(floored_infections(x, floor))
+            reports.append(report_matrix(net.b, net.gamma, s, floored[-1], np.arange(net.n), partition, clamp))
+    except RepronetError as exc:
+        failure = exc
+    if private and reports:
+        reports = private_reports(np.stack(reports), spec, np.stack(words[: len(reports)]))[0]
+    if failure is not None:
+        raise failure
+    matrices = []
+    for t, x_f, rows in zip(times, floored, reports):
+        weights = cluster_weight_sums(net.gamma, x_f, partition)
+        matrices.append(ClusterRnMatrix(assemble_clusters(rows, weights, partition), float(t), private))
     if trace is not None:
-        shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), epoch, (trial,))
-        _write_trace(trace, _request(net, state, partition, epoch), reports, matrix, shuffler_rngs)
-    return matrix
+        for k, (e, matrix) in enumerate(zip(epochs, matrices)):
+            shuffler_rngs = streams(master_seed, StreamRole.SHUFFLER, range(partition.m), e, (trial,))
+            request = _request(net, state[k] if stacked else state, partition, e)
+            _write_trace(trace, request, reports[k], matrix, shuffler_rngs)
+    return matrices if stacked else matrices[0]
