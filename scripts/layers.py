@@ -19,6 +19,10 @@ value, call overhead included: its calibrations' ``delta_c`` evaluations, as the
 sampler calls ``ndtr`` only where no bound decides its branch.  ``rmse_sweep_ms``
 times ``analysis.rmse_sweep`` over ``epsilon0`` in {1, 2, 3} with 50 trials on
 the states after 0, 100 and 200 steps, its calibrations cached.
+
+The ``_peak_mib`` rows are ``tracemalloc`` peaks of one call, in MiB: ``integrate``
+keeping every state and keeping every 100th (as a command with ``rn_interval: 100``
+does), and ``analysis.threshold_report`` on the whole trajectory.
 """
 
 import argparse
@@ -28,6 +32,7 @@ import os
 import platform
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +68,16 @@ def best(run, repeat=5, before=lambda: None) -> float:
     return min(times)
 
 
+def peak_mib(run) -> float:
+    """Peak of the memory that ``run`` allocates and ``tracemalloc`` traces, in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def clear_calibrations() -> None:
     privacy._calibrate_cached.cache_clear()
     privacy._calibrate_count.cache_clear()
@@ -92,6 +107,13 @@ def layers(n: int, scratch: Path) -> dict:
         "clusters": partition.m,
         "edge_density": SIZES[n][1],
         "integrate_step_us": best(lambda: rn.integrate(net, state0, rn.ModelKind.SIR, DT, STEPS)) / STEPS * 1e6,
+        "integrate_peak_mib": peak_mib(lambda: rn.integrate(net, state0, rn.ModelKind.SIR, DT, STEPS)),
+        "integrate_every_100_peak_mib": peak_mib(
+            lambda: rn.integrate(net, state0, rn.ModelKind.SIR, DT, STEPS, every=RMSE_EVERY)
+        ),
+        "threshold_report_peak_mib": peak_mib(
+            lambda: analysis.threshold_report(net, trajectory, partition, rn.ModelKind.SIR)
+        ),
         "cluster_matrix_ms": best(lambda: cluster_matrix(net, state, partition, clamp=CLAMP)) * 1e3,
         "run_pipeline_off_ms": best(lambda: rn.run_pipeline(net, state, partition, clamp=CLAMP)) * 1e3,
         "run_pipeline_warm_ms": best(private) * 1e3,

@@ -366,21 +366,52 @@ class ThresholdReport:
     clusters: list[ClusterThreshold]
 
 
-def _thresholds(times, series, amounts, rates, valid, band):
-    """Per column of ``(T, k)`` reproduction numbers, infected amounts, their rates and
-    above-floor flags: (first crossing, peak time, agreement rate, samples)."""
-    gaps = series - 1.0
-    signs = np.sign(gaps)
-    crossed = np.zeros(signs.shape, dtype=bool)
-    crossed[1:] = (signs[1:] != 0.0) & (signs[:-1] != 0.0) & (signs[1:] != signs[:-1])
-    first = np.argmax(crossed, axis=0)
-    peaks = times[np.argmax(amounts, axis=0)]
-    counted = valid & (np.abs(gaps) > band)
-    samples = np.sum(counted, axis=0)
-    agreements = np.sum(counted & (np.sign(rates) == signs), axis=0)
-    for k, row in enumerate(first):
-        rate = float(agreements[k] / samples[k]) if samples[k] else None
-        yield float(times[row]) if crossed[row, k] else None, float(peaks[k]), rate, int(samples[k])
+class _Thresholds:
+    """Running per-column threshold statistics over row blocks of ``(rows, k)`` arrays.
+
+    A column crosses where its sign of ``series - 1`` flips between two
+    nonzero signs, the first row of a block against the last row of the
+    block before; its peak is its first row of largest ``amounts``.  Every
+    statistic is the one of the stacked blocks.
+    """
+
+    def __init__(self, k: int):
+        self.rows = 0
+        self.signs = np.zeros(k)  # the last row's signs; a zero never crosses
+        self.first = np.full(k, -1)  # first crossing row, -1 before one
+        self.peak, self.peak_row = np.full(k, -np.inf), np.zeros(k, dtype=np.intp)
+        self.samples, self.agreements = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+
+    def add(self, series, amounts, rates, valid, band):
+        """Take the next rows: reproduction numbers, infected amounts, their rates and
+        above-floor flags."""
+        gaps = series - 1.0
+        signs = np.sign(gaps)
+        before = np.concatenate([self.signs[None], signs[:-1]])
+        crossed = (signs != 0.0) & (before != 0.0) & (signs != before)
+        found = (self.first < 0) & crossed.any(axis=0)
+        self.first[found] = self.rows + np.argmax(crossed[:, found], axis=0)
+        top = np.argmax(amounts, axis=0)
+        higher = amounts[top, np.arange(amounts.shape[1])] > self.peak  # ties keep the earlier row
+        self.peak[higher] = amounts[top[higher], higher]
+        self.peak_row[higher] = self.rows + top[higher]
+        counted = valid & (np.abs(gaps) > band)
+        self.samples += np.sum(counted, axis=0)
+        self.agreements += np.sum(counted & (np.sign(rates) == signs), axis=0)
+        self.signs = signs[-1]
+        self.rows += len(signs)
+
+    def results(self, times):
+        """(first crossing, peak time, agreement rate, samples) per column."""
+        for k, (row, samples) in enumerate(zip(self.first, self.samples)):
+            rate = float(self.agreements[k] / samples) if samples else None
+            crossing = float(times[row]) if row >= 0 else None
+            yield crossing, float(times[self.peak_row[k]]), rate, int(samples)
+
+
+# Entries per row block of ``threshold_report``: its temporaries stay a few
+# blocks in size, whatever the trajectory's length.
+_REPORT_BLOCK = 1 << 14
 
 
 def threshold_report(
@@ -399,26 +430,33 @@ def threshold_report(
     reproduction number minus one.  Agreement counts only samples outside
     the dead band whose infected fractions sit strictly above the floor
     (below it, the flooring used for reporting distorts the ratio and the
-    threshold statement's premise fails).  Whole-array expressions over the
-    trajectory's arrays: ``lern_vector`` of the trajectory, and the cluster series
-    ``cluster_average`` of those lerns, with the bits of ``cern_vector``.
+    threshold statement's premise fails).  It runs over row blocks of about
+    ``_REPORT_BLOCK`` entries, reduced by ``_Thresholds``: ``lern_vector`` of
+    the block, and the cluster series ``cluster_average`` of those lerns,
+    with the bits of ``cern_vector``.  Each kernel computes every row on its
+    own, so the report has the bits of a single block of all rows.
     """
     if not trajectory:
         raise ConfigError("trajectory must contain at least one state")
     trajectory = Trajectory.from_states(trajectory)
-    xs, xdots = trajectory.x, infected_derivative(net, trajectory, kind)
-    lerns = lern_vector(net, trajectory, floor)
-    cerns = cluster_average(lerns, net.gamma * floored_infections(xs, floor), partition)
-    above = xs > np.asarray(floor, dtype=float)
     members = [partition.members(q) for q in range(partition.m)]
 
     def per_cluster(values, reduce):
         return np.stack([reduce(values[:, ms], axis=1) for ms in members], axis=1)
 
-    nodes = _thresholds(trajectory.t, lerns, xs, xdots, above, band)
-    clusters = _thresholds(trajectory.t, cerns, per_cluster(xs, np.sum),
-                           per_cluster(xdots, np.sum), per_cluster(above, np.all), band)
+    nodes, clusters = _Thresholds(trajectory.n), _Thresholds(partition.m)
+    step = max(1, _REPORT_BLOCK // trajectory.n)
+    for start in range(0, len(trajectory), step):
+        rows = slice(start, start + step)  # views, where a slice of the trajectory would copy
+        block = Trajectory(*(a[rows] for a in (trajectory.t, trajectory.s, trajectory.x, trajectory.r)))
+        xs, xdots = block.x, infected_derivative(net, block, kind)
+        lerns = lern_vector(net, block, floor)
+        cerns = cluster_average(lerns, net.gamma * floored_infections(xs, floor), partition)
+        above = xs > np.asarray(floor, dtype=float)
+        nodes.add(lerns, xs, xdots, above, band)
+        clusters.add(cerns, per_cluster(xs, np.sum), per_cluster(xdots, np.sum),
+                     per_cluster(above, np.all), band)
     return ThresholdReport(
-        nodes=[NodeThreshold(i, *row) for i, row in enumerate(nodes)],
-        clusters=[ClusterThreshold(q, *row) for q, row in enumerate(clusters)],
+        nodes=[NodeThreshold(i, *row) for i, row in enumerate(nodes.results(trajectory.t))],
+        clusters=[ClusterThreshold(q, *row) for q, row in enumerate(clusters.results(trajectory.t))],
     )

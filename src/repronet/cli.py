@@ -81,12 +81,10 @@ class _Context:
         self.state0 = build_initial_state(scenario, self.net)
         self.partition = build_partition(scenario, self.net)
 
-    def trajectory(self):
+    def trajectory(self, every: int = 1):
+        """The states at every ``every``-th step; a sampling command keeps only those rows."""
         s = self.scenario
-        return integrate(self.net, self.state0, s.model_kind, s.dt, s.steps)
-
-    def sampled(self, trajectory):
-        return trajectory[:: self.scenario.rn_interval]
+        return integrate(self.net, self.state0, s.model_kind, s.dt, s.steps, every=every)
 
 
 def _cmd_simulate(args) -> int:
@@ -110,19 +108,25 @@ def _cmd_compute_rn(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
     floor, clamp = scenario.infection_floor, scenario.privacy.clamp
-    states = ctx.sampled(ctx.trajectory())
+    states = ctx.trajectory(scenario.rn_interval)
     r0 = network_reproduction(ctx.net)
     network_rows = [(state.t, network_reproduction(ctx.net, state)) for state in states]
-    matrices = [
+    # built one at a time, as the writer reads them
+    matrices = (
         (state.t, build_matrix(ctx.net, state, MatrixKind.EFFECTIVE, floor, clamp).values)
         for state in states
-    ]
-    csvio.write_rn_csv(ctx.out / "local_rn.csv", _records(matrices, "effective"))
+    )
+    local_rn = ctx.out / "local_rn.csv"
+    try:
+        csvio.write_rn_csv(local_rn, _records(matrices, "effective"))
+    except RepronetError:  # a failed command leaves no truncated file that reads as complete
+        local_rn.unlink(missing_ok=True)
+        raise
     with open(ctx.out / "network_rn.csv", "w", newline="") as fh:
         fh.write("t,r0,rt\n")
         for t, rt in network_rows:
             fh.write(f"{t:.17g},{r0:.17g},{rt:.17g}\n")
-    print(f"wrote {ctx.out / 'local_rn.csv'} and {ctx.out / 'network_rn.csv'}")
+    print(f"wrote {local_rn} and {ctx.out / 'network_rn.csv'}")
     return 0
 
 
@@ -132,7 +136,7 @@ def _cmd_cluster_rn(args) -> int:
     floor, clamp = scenario.infection_floor, scenario.privacy.clamp
     matrices = [
         (state.t, reproduction.cluster_matrix(ctx.net, state, ctx.partition, floor, clamp).values)
-        for state in ctx.sampled(ctx.trajectory())
+        for state in ctx.trajectory(scenario.rn_interval)
     ]
     csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(matrices, "cluster"))
     print(f"wrote {ctx.out / 'cluster_rn.csv'} ({len(matrices)} epochs)")
@@ -147,7 +151,7 @@ def _cmd_pipeline(args) -> int:
         spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
         matrices = protocol.run_pipeline(
             ctx.net,
-            ctx.sampled(ctx.trajectory()),
+            ctx.trajectory(scenario.rn_interval),
             ctx.partition,
             spec,
             master_seed=scenario.seed,
@@ -174,7 +178,7 @@ def _cmd_accuracy(args) -> int:
     scenario = ctx.scenario
     report = analysis.rmse_sweep(
         ctx.net,
-        ctx.sampled(ctx.trajectory()),
+        ctx.trajectory(scenario.rn_interval),
         ctx.partition,
         eps_grid,
         trials=args.trials,

@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import io
 import itertools
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -103,11 +104,48 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """A matrix CSV's values, each cell as ``float`` reads it.  A plain file goes through
+    ``np.loadtxt`` (``_plain_matrix``); any other is read cell by cell, which raises the errors."""
+    values = _plain_matrix(path)
+    if values is not None:
+        return values
     rows = [np.fromiter((_parse_float(cell, where) for cell in row), float, len(row))
             for where, row in _data_rows(path, "matrix")]
     if not rows:
         raise ConfigError(f"{path}: matrix file has a header but no rows")
     return np.stack(rows)
+
+
+# Every byte of a plain matrix file's rows.  Cells of these bytes that ``np.loadtxt``
+# accepts, ``float`` accepts too and reads as the same double; outside them the two
+# differ (``1_0``, non-ASCII digits, the separators \x1c-\x1f).
+_PLAIN = b"0123456789.eE+- \t\n,nNaAiIfFtTyY"
+
+
+def _plain_matrix(path) -> np.ndarray | None:
+    """``np.loadtxt``'s reading of a matrix file whose rows are ``_PLAIN`` bytes, none blank,
+    under an unquoted header of their width: where the cell parser reads such a file, it
+    reads the same values.  ``None`` for any other file, and wherever loadtxt fails."""
+    try:
+        with open(path, newline="") as fh:  # lines end as csv.reader ends them
+            header, body = fh.readline().rstrip("\r\n"), fh.read()
+    except (OSError, ValueError):
+        return None
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+    plain = header and body and body.isascii() and not body.encode().translate(None, _PLAIN)
+    if not plain or '"' in header:
+        return None
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lines it skips, blank ones say, show in the shape
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), header.count(",") + 1) else None
 
 
 _CELL = 24  # bytes of the longest %.17g cell, "-4.9406564584124654e-324"

@@ -274,20 +274,27 @@ def integrate(
     kind: ModelKind,
     dt: float,
     steps: int,
+    every: int = 1,
 ) -> Trajectory:
-    """Fixed-step RK4 ``Trajectory`` of ``steps + 1`` states; its index 0 is ``state0``.
+    """Fixed-step RK4 ``Trajectory`` of the states at steps ``range(steps + 1)[::every]``;
+    its index 0 is ``state0``.
 
-    Each step is written into the trajectory's arrays in place, and time
-    advances by repeated ``t += dt``.  States are cleaned up only for
-    round-off: negative components no larger than 1e-9 in magnitude are
-    clamped to zero and the triple is renormalized to sum one whenever the
-    drift exceeds 1e-12.  Non-finite values or negative components beyond
-    round-off abort the run; the caller should reduce ``dt``.
+    Each step is written in place: into the trajectory's row when the step is
+    kept, and over one scratch row otherwise.  So a kept row has the
+    bits of ``integrate(...)[::every]``'s, and memory grows with the rows
+    kept, not with ``steps``.  Time advances by repeated ``t += dt``.  States
+    are cleaned up only for round-off: negative components no larger than
+    1e-9 in magnitude are clamped to zero and the triple is renormalized to
+    sum one whenever the drift exceeds 1e-12.  Non-finite values or negative
+    components beyond round-off abort the run; the caller should reduce
+    ``dt``.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     if steps < 0:
         raise ConfigError("steps must be non-negative")
+    if every < 1:
+        raise ConfigError("every must be >= 1")
     _check_size(net, state0)
 
     max_inflow = float(np.max(net.b.sum(axis=1))) if net.n else 0.0
@@ -300,12 +307,16 @@ def integrate(
         )
 
     b, gamma = net.b, net.gamma
-    times = np.empty(steps + 1)
-    fractions = np.empty((steps + 1, 3, net.n))  # step k's (s, x, r), contiguous
+    kept = steps // every + 1
+    times = np.empty(kept)
+    fractions = np.empty((kept, 3, net.n))  # kept step k's (s, x, r) at row k // every, contiguous
+    scratch = np.empty((3, net.n))  # every other step, each written over the one before
     times[0] = t = float(state0.t)
     prev = fractions[0]
     prev[:] = state0.s, state0.x, state0.r
     for k in range(1, steps + 1):
+        row, skipped = divmod(k, every)
+        out = scratch if skipped else fractions[row]
         # elementwise on stacked (s, x, r): the bits of one row at a time
         k1 = _rhs(b, gamma, prev[0], prev[1], kind)
         y = prev + 0.5 * dt * k1
@@ -314,9 +325,10 @@ def integrate(
         k3 = _rhs(b, gamma, y[0], y[1], kind)
         y = prev + dt * k3
         k4 = _rhs(b, gamma, y[0], y[1], kind)
-        prev = np.add(prev, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=fractions[k])
+        prev = np.add(prev, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out)
         t += dt
-        times[k] = t
+        if not skipped:
+            times[row] = t
 
         low, high = prev.min(), prev.max()  # a NaN fails both tests
         if not (low >= -_NEGATIVE_TOL and high <= 1.0 + _NEGATIVE_TOL):

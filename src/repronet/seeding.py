@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import binascii
 import enum
+import functools
 import math
 from collections.abc import Iterable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .exceptions import ConfigError
 
@@ -171,21 +171,30 @@ def stream_words(
     return out
 
 
-class _Words(ISeedSequence):
-    """Hands a bit generator the words ``SeedSequence.generate_state(4, np.uint64)`` would."""
+@functools.cache
+def _words_type() -> type:
+    """The seed-sequence type ``generators`` hands PCG64, built on first use: importing
+    ``numpy.random`` adds about 2 MiB of resident memory to a command that draws no stream."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _Words(ISeedSequence):
+        """Hands a bit generator the words ``SeedSequence.generate_state(4, np.uint64)`` would."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for
-            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks for
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
+            return self.words
+
+    return _Words
 
 
 def generators(words: np.ndarray) -> list[np.random.Generator]:
     """A PCG64 generator seeded with each row of ``(K, 4)`` uint64 state words."""
-    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in words]
+    seeds = _words_type()
+    return [np.random.Generator(np.random.PCG64(seeds(row))) for row in words]
 
 
 def streams(

@@ -45,6 +45,7 @@ from repronet.exceptions import (
     IntegrationError,
     ProtocolError,
 )
+from repronet.csvio import _data_rows, _parse_float
 from repronet.model import (
     _DRIFT_TOL,
     _NEGATIVE_TOL,
@@ -53,6 +54,7 @@ from repronet.model import (
     StabilityWarning,
     Trajectory,
     TransmissionNetwork,
+    infected_derivative,
     inflow,
 )
 from repronet.privacy import PrivacySpec, bounded_gaussian_randomize, shuffle
@@ -72,9 +74,11 @@ from repronet.reproduction import (
     Partition,
     _check_positive_infection,
     assemble as package_assemble,
+    cluster_average,
     cluster_matrix,
     cluster_weight_sums,
     floored_infections,
+    lern_vector,
     member_sums,
     report_matrix,
     spectral_radius as package_spectral_radius,
@@ -571,6 +575,71 @@ def threshold_report_reference(
             )
         )
     return ThresholdReport(nodes=nodes, clusters=clusters)
+
+
+def _thresholds(times, series, amounts, rates, valid, band):
+    """Per column of ``(T, k)`` reproduction numbers, infected amounts, their rates and
+    above-floor flags: (first crossing, peak time, agreement rate, samples)."""
+    gaps = series - 1.0
+    signs = np.sign(gaps)
+    crossed = np.zeros(signs.shape, dtype=bool)
+    crossed[1:] = (signs[1:] != 0.0) & (signs[:-1] != 0.0) & (signs[1:] != signs[:-1])
+    first = np.argmax(crossed, axis=0)
+    peaks = times[np.argmax(amounts, axis=0)]
+    counted = valid & (np.abs(gaps) > band)
+    samples = np.sum(counted, axis=0)
+    agreements = np.sum(counted & (np.sign(rates) == signs), axis=0)
+    for k, row in enumerate(first):
+        rate = float(agreements[k] / samples[k]) if samples[k] else None
+        yield float(times[row]) if crossed[row, k] else None, float(peaks[k]), rate, int(samples[k])
+
+
+def threshold_report_whole_array_reference(
+    net: TransmissionNetwork,
+    trajectory: Sequence[EpidemicState],
+    partition: Partition,
+    kind: ModelKind = ModelKind.SIR,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+    band: float = THRESHOLD_DEAD_BAND,
+) -> ThresholdReport:
+    """``analysis.threshold_report`` as whole-array expressions over the trajectory's arrays.
+
+    The report before it ran over row blocks, kept unchanged as its bit-for-bit
+    reference: ``lern_vector`` of the trajectory, and the cluster series
+    ``cluster_average`` of those lerns, with the bits of ``cern_vector``.
+    """
+    if not trajectory:
+        raise ConfigError("trajectory must contain at least one state")
+    trajectory = Trajectory.from_states(trajectory)
+    xs, xdots = trajectory.x, infected_derivative(net, trajectory, kind)
+    lerns = lern_vector(net, trajectory, floor)
+    cerns = cluster_average(lerns, net.gamma * floored_infections(xs, floor), partition)
+    above = xs > np.asarray(floor, dtype=float)
+    members = [partition.members(q) for q in range(partition.m)]
+
+    def per_cluster(values, reduce):
+        return np.stack([reduce(values[:, ms], axis=1) for ms in members], axis=1)
+
+    nodes = _thresholds(trajectory.t, lerns, xs, xdots, above, band)
+    clusters = _thresholds(trajectory.t, cerns, per_cluster(xs, np.sum),
+                           per_cluster(xdots, np.sum), per_cluster(above, np.all), band)
+    return ThresholdReport(
+        nodes=[NodeThreshold(i, *row) for i, row in enumerate(nodes)],
+        clusters=[ClusterThreshold(q, *row) for q, row in enumerate(clusters)],
+    )
+
+
+def read_matrix_csv_reference(path) -> np.ndarray:
+    """``csvio.read_matrix_csv`` as ``csv.reader`` and ``float`` on every cell.
+
+    The reader before plain files went through ``np.loadtxt``, kept unchanged
+    as its reference for values and error messages.
+    """
+    rows = [np.fromiter((_parse_float(cell, where) for cell in row), float, len(row))
+            for where, row in _data_rows(path, "matrix")]
+    if not rows:
+        raise ConfigError(f"{path}: matrix file has a header but no rows")
+    return np.stack(rows)
 
 
 def _fmt(value: float) -> str:

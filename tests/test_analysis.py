@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
+from repronet import analysis
 from repronet.analysis import (
     entry_noise_params,
     monte_carlo_entry_stats,
@@ -16,7 +19,7 @@ from repronet.analysis import (
     threshold_report,
     trichotomy_counts,
 )
-from repronet.exceptions import RepronetError, UndefinedRatioError
+from repronet.exceptions import IntegrationError, RepronetError, UndefinedRatioError
 from repronet.privacy import TruncGaussParams
 from repronet.seeding import StreamRole, stream
 
@@ -340,3 +343,89 @@ def test_threshold_report_sign_agreement(rng):
         assert row.samples > 0
         assert row.agreement_rate >= 0.999
     assert all(row.peak_t >= 0.0 for row in report.nodes)
+
+
+def _report_instance(seed, n, kind, steps, dt):
+    gen = np.random.default_rng(seed)
+    net = make_network(gen, n, density=min(0.4, 4 / n))  # row sums near one at every n
+    trajectory = rn.integrate(net, make_state(gen, n, with_r=kind is rn.ModelKind.SIR), kind, dt, steps)
+    floors = {"scalar": 1e-9, "zero": 0.0, "vector": gen.uniform(0.0, 0.1, n)}
+    return net, trajectory, rn.Partition.from_blocks(np.array_split(np.arange(n), min(n, 3))), floors
+
+
+@pytest.mark.parametrize("n", [7, 200])
+@pytest.mark.parametrize("extra", [None, -1, 0, 1], ids=["T=1", "block-1", "block", "block+1"])
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_blocked_threshold_report_matches_whole_array(n, extra):
+    rows = analysis._REPORT_BLOCK // n  # rows per block
+    steps = 0 if extra is None else rows + extra - 1
+    for kind in rn.ModelKind:
+        net, trajectory, partition, floors = _report_instance(n + steps, n, kind, steps, 25.0 / max(steps, 1))
+        assert len(trajectory) == steps + 1
+        for floor in floors.values():
+            args = (net, trajectory, partition, kind, floor)
+            want = _outcome(oracles.threshold_report_whole_array_reference, *args)
+            assert _report_bits(_outcome(threshold_report, *args)) == _report_bits(want)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(list(rn.ModelKind)),
+    floor=st.sampled_from(["scalar", "zero", "vector"]),
+    steps=st.integers(0, 120),
+    dt=st.sampled_from([0.05, 0.5, 2.0]),
+    block=st.sampled_from([1, 5, 64]),  # entries per block: 1 makes every row a block
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_threshold_report_in_small_blocks_matches_whole_array_property(
+    seed, n, kind, floor, steps, dt, block
+):
+    try:
+        net, trajectory, partition, floors = _report_instance(seed, n, kind, steps, dt)
+    except IntegrationError:  # dt too large for this network
+        return
+    args = (net, trajectory, partition, kind, floors[floor])
+    want = _outcome(oracles.threshold_report_whole_array_reference, *args)
+    with mock.patch.object(analysis, "_REPORT_BLOCK", block):
+        got = _outcome(threshold_report, *args)
+    assert _report_bits(got) == _report_bits(want)
+
+
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_threshold_report_carries_crossings_and_peaks_across_row_blocks():
+    # one row per block: every crossing and every later peak is found against a block before
+    net, trajectory, partition, _ = _report_instance(11, 8, rn.ModelKind.SIR, 400, 0.1)
+    # x swings around the SIS level 2/3 (a crossing at every row) and then holds (tied peaks)
+    scalar = rn.TransmissionNetwork(b=[[0.3]], gamma=[0.1])
+    xs = [0.5, 0.8, 0.5, 0.8, 0.5, 0.9, 0.9, 0.9]
+    swings = [rn.EpidemicState(t=float(k), s=[1.0 - x], x=[x]) for k, x in enumerate(xs)]
+    cases = [
+        (net, trajectory, partition, rn.ModelKind.SIR),
+        (scalar, swings, rn.Partition.whole(1), rn.ModelKind.SIS),
+    ]
+    for net, states, partition, kind in cases:
+        want = oracles.threshold_report_whole_array_reference(net, states, partition, kind)
+        with mock.patch.object(analysis, "_REPORT_BLOCK", 1):
+            got = threshold_report(net, states, partition, kind)
+        assert _report_bits(got) == _report_bits(want)
+    rows = want.nodes + want.clusters
+    assert (rows[0].first_crossing_t, rows[0].peak_t) == (1.0, 5.0)
+    rows = threshold_report(*cases[0]).nodes
+    assert any(row.first_crossing_t is not None for row in rows)
+    assert any(row.peak_t > trajectory.t[0] for row in rows)
+
+
+def test_threshold_report_memory_is_a_few_blocks(rng):
+    net = make_network(rng, 200, density=0.1)
+    trajectory = rn.integrate(net, make_state(rng, 200, with_r=True), rn.ModelKind.SIR, 0.01, 2000)
+    partition = rn.Partition(10, np.arange(200) * 10 // 200)
+    held = sum(a.nbytes for a in (trajectory.t, trajectory.s, trajectory.x, trajectory.r))
+    tracemalloc.start()
+    try:
+        threshold_report(net, trajectory, partition, rn.ModelKind.SIR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < held / 4

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+import yaml
 
 from conftest import run_fresh
 from repronet import csvio
 from repronet.cli import main
+from repronet.scenario import build_network, load_scenario
 
 SCALAR_SIS = """
 network:
@@ -152,6 +154,30 @@ def test_compute_rn_outputs(tmp_path):
     network = (tmp_path / "out" / "network_rn.csv").read_text().splitlines()
     assert network[0] == "t,r0,rt"
     assert len(network) == 1 + 3  # epochs 0, 40, 80
+
+
+def test_failed_compute_rn_leaves_no_local_rn(tmp_path, capsys):
+    # matrices are written as they are built, so the header is out when the first one fails
+    config = tmp_path / "zero.yaml"
+    config.write_text(
+        """
+network:
+  matrix: [[0.3, 0.2], [0.1, 0.3]]
+  gamma: [0.1, 0.2]
+initial:
+  x: [0.1, 0.0]
+model: sis
+dt: 0.1
+steps: 4
+infection_floor: 0.0
+output_dir: "%s"
+"""
+        % (tmp_path / "out").as_posix()
+    )
+    assert main(["compute-rn", "--config", str(config)]) == 3
+    assert "x[1] is zero with flooring disabled" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "local_rn.csv").exists()
+    assert not (tmp_path / "out" / "network_rn.csv").exists()
 
 
 def test_accuracy_emits_row_per_epsilon(tmp_path, capsys):
@@ -316,6 +342,44 @@ def test_noise_commands_never_import_numpy_ma(tmp_path, template, command):
     # numpy.ma (which np.unique imports) would add about 0.7 MiB to the command's peak RSS
     config = write_config(tmp_path, template)
     printed = run_fresh(NUMPY_MA_AFTER_MAIN, *command, "--config", str(config))
+    assert printed.splitlines()[-1] == "0 False"
+
+
+NUMPY_RANDOM_AFTER_MAIN = """
+import sys
+from repronet.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def write_file_network_config(tmp_path, template):
+    """``template``'s scenario with its random network read from matrix CSVs instead, as the
+    benchmark's scenarios read theirs: generating a network draws from numpy.random."""
+    config = write_config(tmp_path, template)
+    net = build_network(load_scenario(config), tmp_path)
+    csvio.write_matrix_csv(tmp_path / "b.csv", net.b)
+    csvio.write_matrix_csv(tmp_path / "gamma.csv", net.gamma[None, :])
+    scenario = yaml.safe_load(config.read_text())
+    scenario["network"] = {"matrix_csv": "b.csv", "gamma_csv": "gamma.csv"}
+    config.write_text(yaml.safe_dump(scenario))
+    return config
+
+
+@pytest.mark.parametrize(
+    "template, command",
+    [
+        (CLUSTERED, ["simulate"]),
+        (CLUSTERED, ["cluster-rn"]),
+        (CLUSTERED, ["pipeline"]),
+        (EIGHT_MEMBER_CLUSTERS, ["accuracy", "--trials", "5"]),
+    ],
+    ids=["simulate", "cluster-rn", "private-pipeline", "accuracy"],
+)
+def test_commands_never_import_numpy_random(tmp_path, template, command):
+    # the noise draws through seeding.StreamBank; numpy.random would add about 2 MiB of peak RSS
+    config = write_file_network_config(tmp_path, template)
+    printed = run_fresh(NUMPY_RANDOM_AFTER_MAIN, *command, "--config", str(config))
     assert printed.splitlines()[-1] == "0 False"
 
 

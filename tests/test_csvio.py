@@ -41,6 +41,68 @@ def test_matrix_errors(tmp_path):
         csvio.read_matrix_csv(tmp_path / "missing.csv")
 
 
+def _read_outcome(read, path):
+    """``read(path)``'s shape and bits, or the type and message of its package error."""
+    try:
+        values = read(path)
+    except ConfigError as exc:
+        return type(exc), str(exc)
+    return values.shape, [v.hex() for v in values.ravel().tolist()]
+
+
+# (file text, whether np.loadtxt reads it): every case reads as csv.reader and float read it
+MATRIX_FILES = {
+    "plain": ("j1,j2\n0.1,0.2\n0.3,0.4\n", True),
+    "crlf": ("j1,j2\r\n0.1,0.2\r\n0.3,0.4\r\n", True),
+    "no final newline": ("j1,j2\n0.1,0.2\n0.3,0.4", True),
+    "one cell": ("j1\n0.5\n", True),
+    "surrounding spaces": ("j1,j2\n 0.1 ,\t0.2\n", True),
+    "nan and inf": ("j1,j2,j3,j4\nnan,inf,-Infinity,+NaN\n", True),
+    "subnormal and overflow": ("j1,j2,j3\n5e-324,1e-400,1e400\n", True),
+    "underscore": ("j1,j2\n1_0,0.2\n", False),
+    "quoted cells": ('j1,j2\n"0.1",0.2\n', False),
+    "quoted header": ('"j1,j2",j3\n0.1,0.2\n', False),
+    "quoted header, split as wide as the rows": ('"j1,j2",j3\n0.1,0.2,0.3\n', False),
+    "non-ascii digits": ("j1\n\u0661\u0662\n", False),
+    "file separator": ("j1,j2\n\x1c0.1,0.2\n", False),
+    "lone cr": ("j1,j2\r0.1,0.2\r", False),
+    "blank line": ("j1,j2\n0.1,0.2\n\n0.3,0.4\n", False),
+    "blank line after header": ("j1,j2\n\n0.1,0.2\n", False),
+    "blank line at end": ("j1,j2\n0.1,0.2\n\n", False),
+    "blank header": ("\n0.1,0.2\n", False),
+    "spaces-only line": ("j1\n0.5\n  \n", False),
+    "trailing comma": ("j1,j2\n0.1,0.2,\n", False),
+    "empty cell": ("j1,j2,j3\n0.1,,0.2\n", False),
+    "header wider than rows": ("j1,j2,j3\n0.1,0.2\n0.3,0.4\n", False),
+    "header narrower than rows": ("j1\n0.1,0.2\n", False),
+    "ragged rows": ("j1,j2\n0.1,0.2\n0.3\n", False),
+    "non-numeric": ("j1,j2\n0.1,zebra\n", False),
+    "header only": ("j1,j2\n", False),
+    "empty": ("", False),
+}
+
+
+@pytest.mark.parametrize("text, plain", MATRIX_FILES.values(), ids=MATRIX_FILES)
+def test_matrix_reader_matches_cell_parser(tmp_path, text, plain):
+    path = tmp_path / "b.csv"
+    path.write_bytes(text.encode())
+    assert (csvio._plain_matrix(path) is not None) == plain
+    assert _read_outcome(csvio.read_matrix_csv, path) == _read_outcome(
+        oracles.read_matrix_csv_reference, path
+    )
+
+
+def test_matrix_reader_reads_written_matrices_with_loadtxt(tmp_path, rng):
+    for shape in ((1, 1), (1, 7), (7, 1), (40, 40)):
+        matrix = rng.uniform(0.0, 1.0, shape) ** 9  # down to ~1e-20: every exponent form
+        path = tmp_path / "b.csv"
+        csvio.write_matrix_csv(path, matrix)
+        assert csvio._plain_matrix(path) is not None
+        assert _read_outcome(csvio.read_matrix_csv, path) == _read_outcome(
+            oracles.read_matrix_csv_reference, path
+        )
+
+
 def test_states_round_trip(tmp_path, rng):
     net = make_network(rng, 4)
     traj = rn.integrate(net, make_state(rng, 4, with_r=True), rn.ModelKind.SIR, 0.1, 20)

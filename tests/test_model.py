@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -238,3 +238,51 @@ def test_infected_derivative_is_derivative_row_property(seed, n, steps, zero):
         for value in (state, traj):
             got = infected_derivative(net, value, kind)
             assert got.tobytes() == rn.derivative(net, value, kind)[1].tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ConfigError, IntegrationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    kind=st.sampled_from(list(rn.ModelKind)),
+    steps=st.integers(0, 40),
+    dt=st.sampled_from([0.05, 0.5, 2.0, 50.0]),  # 2: round-off clamps; 50: leaves [0, 1]
+    drift=st.booleans(),  # a state 5e-10 off a unit sum, renormalized at the first step
+    data=st.data(),
+)
+@example(seed=247, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # clamps at 35, 36
+@example(seed=5, n=6, kind=rn.ModelKind.SIR, steps=12, dt=0.5, drift=True, data=None)
+@settings(max_examples=80)
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_sampled_integration_is_every_kth_row_property(seed, n, kind, steps, dt, drift, data):
+    gen = np.random.default_rng(seed)
+    net = make_network(gen, n)
+    state = make_state(gen, n, with_r=kind is rn.ModelKind.SIR)
+    if drift:
+        state = rn.EpidemicState(t=0.0, s=state.s - 5e-10, x=state.x, r=state.r)
+    everies = range(1, steps + 3) if data is None else [data.draw(st.integers(1, steps + 2))]
+    full = _outcome(rn.integrate, net, state, kind, dt, steps)
+    for every in everies:
+        sampled = _outcome(rn.integrate, net, state, kind, dt, steps, every=every)
+        if not isinstance(full, rn.Trajectory):  # the same error, raised at the same step
+            assert sampled == full
+            continue
+        assert sampled[0] is state
+        want = full[::every]
+        assert len(sampled) == len(range(steps + 1)[::every])
+        for name in "tsxr":
+            got, expected = getattr(sampled, name), getattr(want, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_sampled_integration_rejects_bad_every(rng, every):
+    net = make_network(rng, 3)
+    with pytest.raises(ConfigError, match="every must be >= 1"):
+        rn.integrate(net, make_state(rng, 3), rn.ModelKind.SIS, 0.1, 10, every=every)
