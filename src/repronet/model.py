@@ -43,6 +43,12 @@ __all__ = [
 _DRIFT_TOL = 1e-12
 # Negative round-off larger than this magnitude is treated as instability.
 _NEGATIVE_TOL = 1e-9
+# Entries of one block of ``integrate``'s steps with their sums, the size rule
+# of ``analysis._REPORT_BLOCK``.
+_STEP_BLOCK = 1 << 14
+# Any two orders of summing three fractions in [0, 1] differ by less than this,
+# so a block check flags every step whose own sum drifts past ``_DRIFT_TOL``.
+_SUM_SLACK = 1e-15
 
 
 class ModelKind(enum.Enum):
@@ -216,31 +222,38 @@ def _check_size(net: TransmissionNetwork, state: EpidemicState | Trajectory) -> 
         raise ConfigError(f"state has {state.n} entities, network has {net.n}")
 
 
-def inflow(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def inflow(b: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``b @ x`` for ``(n,)`` fractions, and one ``b @ row`` per row of ``(T, n)`` ones, since a
-    batched ``x @ b.T`` rounds differently from a row on its own."""
+    batched ``x @ b.T`` rounds differently from a row on its own; written into ``out`` when given."""
     if x.ndim == 1:
-        return b @ x
-    out = np.empty(x.shape)
+        return np.matmul(b, x, out=out)
+    out = np.empty(x.shape) if out is None else out
     for k, row in enumerate(x):
-        out[k] = b @ row
+        np.matmul(b, row, out=out[k])
     return out
 
 
-def _rhs(b: np.ndarray, gamma: np.ndarray, s: np.ndarray, x: np.ndarray, kind: ModelKind):
-    """Right-hand side (s', x', r') stacked on a new axis 0, for ``(n,)`` or ``(T, n)`` arrays."""
-    out = np.empty((3,) + x.shape)
-    infection = s * inflow(b, x)
+def _rhs(b: np.ndarray, gamma: np.ndarray, s: np.ndarray, x: np.ndarray, kind: ModelKind, out=None):
+    """Right-hand side (s', x', r') stacked on a new axis 0, for ``(n,)`` or ``(T, n)`` arrays.
+
+    Written into ``out``, an array or three arrays that overlap neither ``s``
+    nor ``x``, and returned; a new array when ``out`` is None.
+    """
+    if out is None:
+        out = np.empty((3,) + x.shape)
+    sdot, xdot, rdot = out
     if kind is ModelKind.SIS:
-        np.subtract(infection, gamma * x, out=out[1])
-        np.negative(out[1], out=out[0])
-        out[2] = 0.0
+        infection = np.multiply(s, inflow(b, x, xdot), xdot)
+        np.subtract(infection, np.multiply(gamma, x, sdot), xdot)
+        np.negative(xdot, sdot)
+        rdot.fill(0.0)
         return out
-    np.negative(infection, out=out[0])
-    np.multiply(gamma, x, out=out[2])
+    infection = np.multiply(s, inflow(b, x, sdot), sdot)
+    np.negative(infection, sdot)
+    np.multiply(gamma, x, rdot)
     # Build x' from the other two components so the conservation identity
     # x' + (s' + r') == 0 holds exactly in floating point.
-    np.negative(out[0] + out[2], out=out[1])
+    np.negative(np.add(sdot, rdot, xdot), xdot)
     return out
 
 
@@ -268,6 +281,22 @@ def infected_derivative(net: TransmissionNetwork, state: EpidemicState | Traject
     return np.negative(rate, out=rate)
 
 
+def _clean_up(state: np.ndarray, t: float, dt: float) -> None:
+    """Clean one stepped (s, x, r) state up for round-off in place, or raise for instability."""
+    low, high = state.min(), state.max()  # a NaN fails both tests
+    if not (low >= -_NEGATIVE_TOL and high <= 1.0 + _NEGATIVE_TOL):
+        if not np.isfinite(state).all():
+            raise IntegrationError(f"non-finite state at t={t}; reduce dt (currently {dt})")
+        raise IntegrationError(f"state left [0, 1] beyond round-off at t={t}; reduce dt")
+    if low < 0.0:
+        state[state < 0.0] = 0.0
+    if high > 1.0:
+        state[state > 1.0] = 1.0
+    total = state.sum(axis=0)
+    if np.abs(total - 1.0).max() > _DRIFT_TOL:
+        state /= total
+
+
 def integrate(
     net: TransmissionNetwork,
     state0: EpidemicState,
@@ -279,15 +308,21 @@ def integrate(
     """Fixed-step RK4 ``Trajectory`` of the states at steps ``range(steps + 1)[::every]``;
     its index 0 is ``state0``.
 
-    Each step is written in place: into the trajectory's row when the step is
-    kept, and over one scratch row otherwise.  So a kept row has the
-    bits of ``integrate(...)[::every]``'s, and memory grows with the rows
-    kept, not with ``steps``.  Time advances by repeated ``t += dt``.  States
-    are cleaned up only for round-off: negative components no larger than
-    1e-9 in magnitude are clamped to zero and the triple is renormalized to
-    sum one whenever the drift exceeds 1e-12.  Non-finite values or negative
-    components beyond round-off abort the run; the caller should reduce
-    ``dt``.
+    Time advances by repeated ``t += dt``.  States are cleaned up only for
+    round-off: negative components no larger than 1e-9 in magnitude are
+    clamped to zero and the triple is renormalized to sum one whenever the
+    drift exceeds 1e-12.  Non-finite values or negative components beyond
+    round-off abort the run; the caller should reduce ``dt``.
+
+    Steps run in blocks of up to ``_STEP_BLOCK`` entries, each stage written
+    into preallocated buffers.  A block is stepped without clean-up, then
+    checked as a whole: its steps up to the first one that needs a clean-up
+    are kept, that step is cleaned up (or raises), and the next block starts
+    from it.  A clean block doubles the next one's length, from 1, and a
+    clean-up resets it, so at most twice the steps are computed.  Kept rows
+    are copied out of each block, so a kept row has the bits of
+    ``integrate(...)[::every]``'s, and memory grows with the rows kept, not
+    with ``steps``.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
@@ -306,40 +341,62 @@ def integrate(
             stacklevel=2,
         )
 
-    b, gamma = net.b, net.gamma
+    b, gamma, n, rhs = net.b, net.gamma, net.n, _rhs
+    add, multiply = np.add, np.multiply
+    half, sixth = 0.5 * dt, dt / 6.0
     kept = steps // every + 1
     times = np.empty(kept)
-    fractions = np.empty((kept, 3, net.n))  # kept step k's (s, x, r) at row k // every, contiguous
-    scratch = np.empty((3, net.n))  # every other step, each written over the one before
-    times[0] = t = float(state0.t)
-    prev = fractions[0]
-    prev[:] = state0.s, state0.x, state0.r
-    for k in range(1, steps + 1):
-        row, skipped = divmod(k, every)
-        out = scratch if skipped else fractions[row]
-        # elementwise on stacked (s, x, r): the bits of one row at a time
-        k1 = _rhs(b, gamma, prev[0], prev[1], kind)
-        y = prev + 0.5 * dt * k1
-        k2 = _rhs(b, gamma, y[0], y[1], kind)
-        y = prev + 0.5 * dt * k2
-        k3 = _rhs(b, gamma, y[0], y[1], kind)
-        y = prev + dt * k3
-        k4 = _rhs(b, gamma, y[0], y[1], kind)
-        prev = np.add(prev, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out)
-        t += dt
-        if not skipped:
-            times[row] = t
-
-        low, high = prev.min(), prev.max()  # a NaN fails both tests
-        if not (low >= -_NEGATIVE_TOL and high <= 1.0 + _NEGATIVE_TOL):
-            if not np.isfinite(prev).all():
-                raise IntegrationError(f"non-finite state at t={t}; reduce dt (currently {dt})")
-            raise IntegrationError(f"state left [0, 1] beyond round-off at t={t}; reduce dt")
-        if low < 0.0:
-            prev[prev < 0.0] = 0.0
-        if high > 1.0:
-            prev[prev > 1.0] = 1.0
-        total = prev.sum(axis=0)
-        if np.abs(total - 1.0).max() > _DRIFT_TOL:
-            prev /= total
+    fractions = np.empty((kept, 3, n))  # kept step k's (s, x, r) at row k // every, contiguous
+    times[0] = state0.t
+    fractions[0] = state0.s, state0.x, state0.r
+    # a step takes 3n entries of the block, n of its sums, its time and one entry per check reduction
+    cap = max(1, _STEP_BLOCK // (4 * n + 2))
+    block, clock = np.empty((cap + 1, 3, n)), np.empty(cap + 1)  # row j: step j of the block
+    sums = np.empty((cap, n))  # the block's s + x + r, for its check
+    block[0], clock[0] = fractions[0], times[0]
+    # views made once: the per-step cost is the ~36 ufunc calls, not their arithmetic
+    stages = np.empty((4, 3, n))
+    k1, k2, k3, k4 = stages
+    outs = [tuple(k) for k in stages]
+    doubled = stages[1:3]
+    y = np.empty((3, n))  # a stage's state; its r is not read
+    ys, yx, _ = y
+    done, length = 0, 1
+    while done < steps:
+        size = min(length, steps - done)
+        t = float(clock[0])
+        nxt = block[0]
+        # a step past one that fails its check is discarded, and may overflow
+        with np.errstate(all="ignore"):
+            for j in range(1, size + 1):
+                prev, nxt = nxt, block[j]
+                rhs(b, gamma, prev[0], prev[1], kind, outs[0])
+                add(prev, multiply(half, k1, y), y)
+                rhs(b, gamma, ys, yx, kind, outs[1])
+                add(prev, multiply(half, k2, y), y)
+                rhs(b, gamma, ys, yx, kind, outs[2])
+                add(prev, multiply(dt, k3, y), y)
+                rhs(b, gamma, ys, yx, kind, outs[3])
+                # prev + dt / 6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                multiply(2.0, doubled, doubled)
+                add(add(add(k1, k2, k1), k3, k1), k4, k1)
+                add(prev, multiply(sixth, k1, k1), nxt)
+                t += dt
+                clock[j] = t
+        stepped = block[1 : size + 1]
+        clean = (stepped.min(axis=(1, 2)) >= 0.0) & (stepped.max(axis=(1, 2)) <= 1.0)  # NaN fails
+        drift = np.sum(stepped, axis=1, out=sums[:size])
+        drift -= 1.0
+        clean &= np.abs(drift, out=drift).max(axis=1) <= _DRIFT_TOL - _SUM_SLACK
+        if clean.all():
+            used, length = size, min(2 * length, cap)
+        else:  # keep the steps before the first unclean one, and clean that one up
+            used, length = int(clean.argmin()) + 1, 1
+            _clean_up(block[used], float(clock[used]), dt)
+        first = -(-(done + 1) // every) * every  # the block's first kept step
+        rows = slice(first // every, (done + used) // every + 1)
+        fractions[rows] = block[first - done : used + 1 : every]
+        times[rows] = clock[first - done : used + 1 : every]
+        block[0], clock[0] = block[used], clock[used]
+        done += used
     return Trajectory(times, *fractions.transpose(1, 0, 2), head=state0)

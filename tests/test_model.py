@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
+from repronet import model
 from repronet.exceptions import ConfigError, IntegrationError
 from repronet.model import StabilityWarning, infected_derivative
 
@@ -240,6 +241,11 @@ def test_infected_derivative_is_derivative_row_property(seed, n, steps, zero):
             assert got.tobytes() == rn.derivative(net, value, kind)[1].tobytes()
 
 
+def _instance(seed, n, kind):
+    gen = np.random.default_rng(seed)
+    return make_network(gen, n), make_state(gen, n, with_r=kind is rn.ModelKind.SIR)
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -247,38 +253,68 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+# Blocks of an n = 1 run start at steps 1, 2, 4, 8, 16, 32, ... until a step
+# needs a clean-up; the block after that clean-up starts at the next step.
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),
     kind=st.sampled_from(list(rn.ModelKind)),
-    steps=st.integers(0, 40),
-    dt=st.sampled_from([0.05, 0.5, 2.0, 50.0]),  # 2: round-off clamps; 50: leaves [0, 1]
+    steps=st.integers(0, 64),
+    dt=st.sampled_from([0.05, 0.5, 2.0, 10.0, 50.0]),  # 2 and 10: round-off clamps; 50: leaves [0, 1]
     drift=st.booleans(),  # a state 5e-10 off a unit sum, renormalized at the first step
     data=st.data(),
 )
-@example(seed=247, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # clamps at 35, 36
-@example(seed=5, n=6, kind=rn.ModelKind.SIR, steps=12, dt=0.5, drift=True, data=None)
+@example(seed=247, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # at 35 (mid 32-40), 36
+@example(seed=5, n=6, kind=rn.ModelKind.SIR, steps=12, dt=0.5, drift=True, data=None)  # at 1
+@example(seed=160, n=1, kind=rn.ModelKind.SIS, steps=63, dt=20.0, drift=False, data=None)  # at 32, first of 32-63
+@example(seed=76, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # at 27, mid 16-31
+@example(seed=310, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # at 31, last of 16-31
+@example(seed=31, n=2, kind=rn.ModelKind.SIR, steps=60, dt=10.0, drift=False, data=None)  # at every step from 32
+@example(seed=11, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # raises at 23, mid 16-31
+@example(seed=3, n=1, kind=rn.ModelKind.SIR, steps=40, dt=50.0, drift=False, data=None)  # raises at 8, first of 8-15
+@example(seed=2, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, data=None)  # raises at 3, last of 2-3
 @settings(max_examples=80)
 @pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
 def test_sampled_integration_is_every_kth_row_property(seed, n, kind, steps, dt, drift, data):
-    gen = np.random.default_rng(seed)
-    net = make_network(gen, n)
-    state = make_state(gen, n, with_r=kind is rn.ModelKind.SIR)
+    net, state = _instance(seed, n, kind)
     if drift:
         state = rn.EpidemicState(t=0.0, s=state.s - 5e-10, x=state.x, r=state.r)
     everies = range(1, steps + 3) if data is None else [data.draw(st.integers(1, steps + 2))]
-    full = _outcome(rn.integrate, net, state, kind, dt, steps)
+    # the per-step reference: its states, or the same error raised at the same step
+    full = _outcome(oracles.integrate_reference, net, state, kind, dt, steps)
     for every in everies:
         sampled = _outcome(rn.integrate, net, state, kind, dt, steps, every=every)
-        if not isinstance(full, rn.Trajectory):  # the same error, raised at the same step
+        if not isinstance(full, list):
             assert sampled == full
             continue
         assert sampled[0] is state
-        want = full[::every]
-        assert len(sampled) == len(range(steps + 1)[::every])
+        want = rn.Trajectory.from_states(full[::every])
         for name in "tsxr":
             got, expected = getattr(sampled, name), getattr(want, name)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_integration_computes_at_most_twice_the_steps(monkeypatch):
+    # every step from 32 on needs a clean-up: the block of steps 32-60 keeps one of its 29
+    kind, dt, steps = rn.ModelKind.SIR, 10.0, 60
+    net, state = _instance(31, 2, kind)
+    stages, cleaned = [], []
+
+    def counted(*args, **kwargs):
+        stages.append(None)
+        return rhs(*args, **kwargs)
+
+    def recorded(fractions, t, dt):
+        cleaned.append(t)
+        return clean_up(fractions, t, dt)
+
+    rhs, clean_up = model._rhs, model._clean_up
+    monkeypatch.setattr(model, "_rhs", counted)
+    monkeypatch.setattr(model, "_clean_up", recorded)
+    rn.integrate(net, state, kind, dt, steps)
+    assert cleaned == [dt * k for k in range(32, steps + 1)]
+    assert len(stages) <= 2 * 4 * steps
 
 
 @pytest.mark.parametrize("every", [0, -1])
