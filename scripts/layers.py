@@ -13,12 +13,15 @@ A timing is the best of 5 in-process runs.  A cold pipeline run is the best of
 3, each after clearing both calibration caches.  ``write_states_ns_per_value``
 times ``csvio.write_states_csv`` on the whole trajectory, per fraction written
 (three per row), and ``write_states_fallback_share`` is the share of those
-fractions that its kernel hands to Python's ``%``.  ``ndtr_ns_per_value`` times
+fractions that its kernel hands to Python's ``%``.  ``calibrate_sigma_us`` times
+one uncached ``privacy.calibrate_sigma`` at ``epsilon0 = 1``, ``k = 1e-5`` and the
+box (0, 14), with one active entry per cluster.  ``ndtr_ns_per_value`` times
 ``privacy.ndtr`` on the arrays that a cold private pipeline run passes it, per
-value, call overhead included: its calibrations' ``delta_c`` evaluations, as the
-sampler calls ``ndtr`` only where no bound decides its branch.  ``rmse_sweep_ms``
-times ``analysis.rmse_sweep`` over ``epsilon0`` in {1, 2, 3} with 50 trials on
-the states after 0, 100 and 200 steps, its calibrations cached.
+value, call overhead included: two per calibration, its certificate's and its
+offset's ``delta_c`` evaluations, as the bisection evaluates its CDF values one
+by one and the sampler calls ``ndtr`` only where no bound decides its branch.
+``rmse_sweep_ms`` times ``analysis.rmse_sweep`` over ``epsilon0`` in {1, 2, 3}
+with 50 trials on the states after 0, 100 and 200 steps, its calibrations cached.
 
 The ``_peak_mib`` rows are ``tracemalloc`` peaks of one call, in MiB: ``integrate``
 keeping every state and keeping every 100th (as a command with ``rn_interval: 100``
@@ -100,6 +103,7 @@ def layers(n: int, scratch: Path) -> dict:
     state, spec = trajectory[STEPS], rn.PrivacySpec(epsilon0=1.0)
     pseudo = build_matrix(net, state, MatrixKind.PSEUDO_EFFECTIVE).values
     fractions = np.stack([trajectory.s, trajectory.x, trajectory.r])
+    box = (np.full(partition.m, CLAMP[0]), np.full(partition.m, CLAMP[1]), np.ones(partition.m, dtype=bool))
     private = functools.partial(rn.run_pipeline, net, state, partition, spec, clamp=CLAMP)
     clear_calibrations()
     sampled = ndtr_arguments(private)
@@ -123,6 +127,7 @@ def layers(n: int, scratch: Path) -> dict:
         "write_states_ns_per_value": best(lambda: csvio.write_states_csv(scratch / "states.csv", trajectory))
         / fractions.size * 1e9,
         "write_states_fallback_share": float(1.0 - np.mean(csvio._fast(fractions))),
+        "calibrate_sigma_us": best(lambda: privacy.calibrate_sigma(1.0, 1e-5, *box)) * 1e6,
         "ndtr_ns_per_value": best(lambda: [privacy.ndtr(a) for a in sampled]) / sum(a.size for a in sampled) * 1e9,
         "rmse_sweep_ms": best(
             lambda: analysis.rmse_sweep(

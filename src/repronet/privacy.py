@@ -43,7 +43,9 @@ faster per value but not exact: numpy's SIMD ``exp`` is not libm's, and on
 x86-64 with numpy 2.4 it rounds about one argument in 20 in ``[-708, 0]``
 differently.  The noise path calls these on few values, where the scalar
 code costs little and scipy's import would cost more than the rest of the
-package: calibration's ``delta_c`` evaluates three per active entry, and the
+package: calibration's bisection evaluates three per step, whatever the
+number of active entries, plus three per active entry in each of its two
+array evaluations of ``delta_c`` (the certificate and the offset), and the
 sampler evaluates a window's mass only where no bound already decides its
 branch (see ``_sample_box_truncated``), which on typical noise boxes is
 nowhere.
@@ -384,13 +386,18 @@ def worst_case_offset(sigma: float, widths: np.ndarray, k: float) -> tuple[np.nd
     coordinates.  Widths that differ raise ``ConfigError``.
     """
     widths = np.asarray(widths, dtype=float)
+    offset = np.full(widths.size, min(k / math.sqrt(widths.size), 0.5 * _shared_width(widths)))
+    return offset, delta_c(sigma, widths, offset)
+
+
+def _shared_width(widths: np.ndarray) -> float:
+    """The one box width of the active entries; widths that differ raise ``ConfigError``."""
     if np.any(widths != widths[0]):
         raise ConfigError(
             "the worst-case offset needs one noise-box width for every active "
             f"entry, got widths {widths.tolist()}"
         )
-    offset = np.full(widths.size, min(k / math.sqrt(widths.size), 0.5 * widths[0]))
-    return offset, delta_c(sigma, widths, offset)
+    return float(widths[0])
 
 
 def sigma_inequality_holds(
@@ -408,6 +415,16 @@ def sigma_inequality_holds(
     return sigma * sigma * slack >= needed
 
 
+def _check_epsilon0(epsilon0: float) -> None:
+    if not (epsilon0 > 0.0 and math.isfinite(epsilon0)):
+        raise ConfigError(f"epsilon0 must be positive and finite, got {epsilon0}")
+
+
+def _check_k(k: float) -> None:
+    if not (k > 0.0 and math.isfinite(k)):
+        raise ConfigError(f"adjacency radius k must be positive and finite, got {k}")
+
+
 def calibrate_sigma(
     epsilon0: float,
     k: float,
@@ -423,11 +440,17 @@ def calibrate_sigma(
     (``ConfigError`` otherwise), which is what makes the worst-case offset
     exact.  Raises ``CalibrationInfeasibleError`` when no sigma in the
     bracket works.
+
+    With one width ``w`` and one offset ``c`` in all ``d`` active
+    coordinates, ``delta_c`` is one ratio multiplied ``d`` times, so each
+    bisection step is a scalar test: the float operations of
+    :func:`sigma_inequality_holds`, in its order, on three CDF values.
+    ``np.prod`` multiplies left to right, as ``math.prod`` does, so every
+    step decides as the array test would.  The result is then re-checked
+    through :func:`sigma_inequality_holds` itself, as a certificate.
     """
-    if epsilon0 <= 0.0:
-        raise ConfigError(f"epsilon0 must be positive, got {epsilon0}")
-    if k <= 0.0:
-        raise ConfigError(f"adjacency radius k must be positive, got {k}")
+    _check_epsilon0(epsilon0)
+    _check_k(k)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     mask = np.asarray(support_mask, dtype=bool)
@@ -441,9 +464,18 @@ def calibrate_sigma(
     widths_active = (upper - lower)[mask]
     lo = 1e-8 * k
     hi = 10.0 * float(np.max(upper - lower))
+    if lo == 0.0:
+        raise ConfigError(f"adjacency radius k={k} is too small: the bracket's 1e-8 k underflows to 0")
+    width, d = _shared_width(widths_active), widths_active.size
+    c = min(k / math.sqrt(d), 0.5 * width)
+    needed = k * (k / 2.0 + math.sqrt(float(np.sum(np.square(widths_active)))))
 
     def feasible(sigma: float) -> bool:
-        return sigma_inequality_holds(sigma, epsilon0, k, widths_active)
+        above, below, full = _ndtr1((width - c) / sigma), _ndtr1(-c / sigma), _ndtr1(width / sigma)
+        denominator = full - 0.5
+        ratio = (above - below) / denominator if denominator > 0.0 else 1.0
+        slack = epsilon0 - math.log(math.prod([ratio] * d))
+        return slack > 0.0 and sigma * sigma * slack >= needed
 
     if not feasible(hi):
         raise CalibrationInfeasibleError(
@@ -462,7 +494,7 @@ def calibrate_sigma(
     else:
         sigma = lo
 
-    if not feasible(sigma):
+    if not sigma_inequality_holds(sigma, epsilon0, k, widths_active):
         raise CalibrationInfeasibleError(
             "re-substitution check failed after bisection; inputs are at the "
             "edge of feasibility"
@@ -489,12 +521,10 @@ class PrivacySpec:
     bounds: tuple = (0.0, 14.0)
 
     def __post_init__(self):
-        if self.epsilon0 <= 0.0:
-            raise ConfigError(f"epsilon0 must be positive, got {self.epsilon0}")
+        _check_epsilon0(self.epsilon0)
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.k <= 0.0:
-            raise ConfigError(f"adjacency radius k must be positive, got {self.k}")
+        _check_k(self.k)
         bounds = tuple(self.bounds)
         if len(bounds) != 2 or not all(isinstance(v, (int, float)) for v in bounds):
             raise ConfigError(f"bounds must be one (lower, upper) pair, got {self.bounds!r}")
@@ -641,8 +671,8 @@ def amplified_epsilon(epsilon0: float, delta: float, cluster_size: int) -> float
     """
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if epsilon0 < 0.0:
-        raise ConfigError(f"epsilon0 must be non-negative, got {epsilon0}")
+    if not (epsilon0 >= 0.0 and math.isfinite(epsilon0)):
+        raise ConfigError(f"epsilon0 must be non-negative and finite, got {epsilon0}")
     if cluster_size < 1:
         raise ConfigError(f"cluster size must be >= 1, got {cluster_size}")
     headroom = cluster_size / (8.0 * math.log(2.0 / delta)) - 1.0

@@ -34,7 +34,6 @@ matrix of the call is computed, so a call that fails writes none.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -167,6 +166,8 @@ def _digest_update(h, value) -> None:
 
 def payload_digest(message) -> str:
     """Short stable digest of a protocol message, for audit traces."""
+    import hashlib  # only traced runs digest, so untraced ones never import it
+
     h = hashlib.sha256()
     h.update(type(message).__name__.encode())
     _digest_update(h, message)

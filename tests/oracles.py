@@ -18,6 +18,8 @@ and the trajectory kernels ``lerns_reference`` and ``cerns_reference``.
 was an actor object (local authority, shuffler, cluster aggregator, data
 center) with its own message checks; its matrix and trace are the ones
 ``protocol.run_pipeline`` must reproduce byte for byte.
+``calibrate_sigma_reference`` is the calibration from when every bisection
+step evaluated ``sigma_inequality_holds`` on the array of active widths.
 """
 
 import csv
@@ -57,7 +59,13 @@ from repronet.model import (
     infected_derivative,
     inflow,
 )
-from repronet.privacy import PrivacySpec, bounded_gaussian_randomize, shuffle
+from repronet.privacy import (
+    PrivacySpec,
+    bounded_gaussian_randomize,
+    shuffle,
+    sigma_inequality_holds,
+    worst_case_offset,
+)
 from repronet.protocol import (
     ClusterVector,
     LocalAggVector,
@@ -230,6 +238,70 @@ def sigma_inequality(sigma, epsilon0, k, widths, dc):
     lhs = sigma * sigma
     rhs = k * (k / 2.0 + math.sqrt(sum(w * w for w in widths))) / (epsilon0 - math.log(dc))
     return (epsilon0 - math.log(dc)) > 0 and lhs >= rhs
+
+
+def calibrate_sigma_reference(
+    epsilon0: float,
+    k: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    support_mask: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Smallest noise scale satisfying the privacy inequality, plus offset.
+
+    Bisects sigma to relative precision 1e-6 over the bracket
+    ``[1e-8 k, 10 max(u - l)]``; inactive entries (mask false) contribute
+    nothing to the width sum.  The active entries must share one box width
+    (``ConfigError`` otherwise), which is what makes the worst-case offset
+    exact.  Raises ``CalibrationInfeasibleError`` when no sigma in the
+    bracket works.
+    """
+    if epsilon0 <= 0.0:
+        raise ConfigError(f"epsilon0 must be positive, got {epsilon0}")
+    if k <= 0.0:
+        raise ConfigError(f"adjacency radius k must be positive, got {k}")
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    mask = np.asarray(support_mask, dtype=bool)
+    if lower.shape != upper.shape or lower.shape != mask.shape:
+        raise ConfigError("bounds and support mask must have matching shapes")
+    if np.any(lower >= upper):
+        raise ConfigError("every bound pair must satisfy lower < upper")
+    if not np.any(mask):
+        raise ConfigError("at least one entry must be active for calibration")
+
+    widths_active = (upper - lower)[mask]
+    lo = 1e-8 * k
+    hi = 10.0 * float(np.max(upper - lower))
+
+    def feasible(sigma: float) -> bool:
+        return sigma_inequality_holds(sigma, epsilon0, k, widths_active)
+
+    if not feasible(hi):
+        raise CalibrationInfeasibleError(
+            f"no noise scale in [{lo:.3e}, {hi:.3e}] satisfies the privacy "
+            f"inequality for epsilon0={epsilon0}, k={k}; increase epsilon0 "
+            "or decrease k"
+        )
+    if not feasible(lo):
+        while (hi - lo) > 1e-6 * hi:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+        sigma = hi
+    else:
+        sigma = lo
+
+    if not feasible(sigma):
+        raise CalibrationInfeasibleError(
+            "re-substitution check failed after bisection; inputs are at the "
+            "edge of feasibility"
+        )
+    offset = np.zeros(mask.size)
+    offset[mask] = worst_case_offset(sigma, widths_active, k)[0]
+    return sigma, offset
 
 
 def rmse_sweep_reference(

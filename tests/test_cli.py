@@ -383,6 +383,24 @@ def test_commands_never_import_numpy_random(tmp_path, template, command):
     assert printed.splitlines()[-1] == "0 False"
 
 
+HASHLIB_AFTER_MAIN = """
+import sys
+from repronet.cli import main
+code = main(sys.argv[1:])
+print(code, "hashlib" in sys.modules)
+"""
+
+
+def test_untraced_pipeline_never_imports_hashlib(tmp_path):
+    # only a trace digests messages; hashlib's import costs every other run about 2 ms (numpy.random
+    # imports it too, so the network comes from matrix CSVs)
+    config = write_file_network_config(tmp_path, CLUSTERED)
+    printed = run_fresh(HASHLIB_AFTER_MAIN, "pipeline", "--config", str(config))
+    assert printed.splitlines()[-1] == "0 False"
+    traced = run_fresh(HASHLIB_AFTER_MAIN, "pipeline", "--config", str(config), "--trace", str(tmp_path / "t.jsonl"))
+    assert traced.splitlines()[-1] == "0 True"
+
+
 SCIPY_BLOCKED = """
 import sys
 sys.modules["scipy"] = None  # importing scipy now raises ImportError

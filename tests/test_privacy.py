@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -156,6 +158,83 @@ def test_worst_case_offset_is_the_maximum_property(dim, width, sigma_ratio, k_ra
     for candidate in np.vstack([radii[:, None] * directions, near, centres]):
         assert delta_c(sigma, widths, candidate) <= best + tol
     assert oracles.delta_c_grid_max(sigma, widths, k, steps=3) <= best + tol
+
+
+def calibration_outcome(calibrate, *args):
+    """The bits of a calibration's sigma and offset, or the type and message of its error."""
+    try:
+        sigma, offset = calibrate(*args)
+    except (ConfigError, CalibrationInfeasibleError) as error:
+        return type(error), str(error)
+    return sigma.hex(), offset.tobytes()
+
+
+@given(
+    epsilon0=st.floats(0.05, 8.0),
+    log10_k=st.floats(-8.0, math.log10(5.0)),
+    d=st.integers(1, 40),
+    inactive=st.integers(0, 3),
+    lower=st.floats(-10.0, 10.0),
+    width=st.floats(0.01, 20.0),
+    other_width=st.floats(0.01, 20.0),
+    uneven=st.sampled_from(["none", "inactive", "active"]),
+)
+@example(epsilon0=1.0, log10_k=-5.0, d=3, inactive=0, lower=0.0, width=14.0, other_width=14.0, uneven="none")
+@example(epsilon0=0.05, log10_k=math.log10(5.0), d=40, inactive=0, lower=0.0, width=1.0, other_width=1.0,
+         uneven="none")  # infeasible
+@example(epsilon0=1.0, log10_k=-5.0, d=4, inactive=2, lower=-2.0, width=14.0, other_width=30.0,
+         uneven="inactive")  # the bracket's top comes from an inactive entry
+@settings(max_examples=150, deadline=None)
+def test_calibration_matches_reference_bisection(epsilon0, log10_k, d, inactive, lower, width, other_width, uneven):
+    # the scalar bisection must take every decision the array test of the reference takes
+    lower_bounds = np.full(d + inactive, lower)
+    upper_bounds = lower_bounds + width
+    if uneven == "active":
+        upper_bounds[0] = lower + other_width
+    elif uneven == "inactive" and inactive:
+        upper_bounds[-1] = lower + other_width
+    mask = np.arange(d + inactive) < d
+    args = (epsilon0, 10.0**log10_k, lower_bounds, upper_bounds, mask)
+    assert calibration_outcome(calibrate_sigma, *args) == calibration_outcome(oracles.calibrate_sigma_reference, *args)
+
+
+def test_cold_calibration_evaluates_delta_c_twice(monkeypatch):
+    # the bisection is scalar; delta_c runs for the certificate and for the offset only
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return delta_c(*args)
+
+    monkeypatch.setattr(privacy, "delta_c", counted)
+    sigma, _ = calibrate_sigma(1.0, 1e-5, np.zeros(5), np.full(5, 14.0), np.ones(5, dtype=bool))
+    assert sigma == FROZEN_SIGMAS[5]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_privacy_spec_rejects_non_finite_epsilon0_and_k(value):
+    with pytest.raises(ConfigError, match="epsilon0 must be positive and finite"):
+        PrivacySpec(epsilon0=value)
+    with pytest.raises(ConfigError, match="k must be positive and finite"):
+        PrivacySpec(epsilon0=1.0, k=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_calibrate_sigma_rejects_non_finite_epsilon0_and_k(value):
+    bounds = (np.zeros(3), np.full(3, 14.0), np.ones(3, dtype=bool))
+    with pytest.raises(ConfigError, match="epsilon0 must be positive and finite"):
+        calibrate_sigma(value, 1e-5, *bounds)
+    with pytest.raises(ConfigError, match="k must be positive and finite"):
+        calibrate_sigma(1.0, value, *bounds)
+    with pytest.raises(ConfigError, match="underflows to 0"):  # a bracket from sigma = 0 would divide by it
+        calibrate_sigma(1.0, 1e-320, *bounds)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_amplified_epsilon_rejects_non_finite_epsilon0(value):
+    with pytest.raises(ConfigError, match="epsilon0 must be non-negative and finite"):
+        amplified_epsilon(value, 0.01, 2000)
 
 
 def test_inactive_entries_do_not_contribute():
