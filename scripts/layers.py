@@ -22,6 +22,13 @@ offset's ``delta_c`` evaluations, as the bisection evaluates its CDF values one
 by one and the sampler calls ``ndtr`` only where no bound decides its branch.
 ``rmse_sweep_ms`` times ``analysis.rmse_sweep`` over ``epsilon0`` in {1, 2, 3}
 with 50 trials on the states after 0, 100 and 200 steps, its calibrations cached.
+``spectral_radius_ms`` times ``spectral_radius`` on the pseudo-effective matrix
+at the state, and ``spectral_radius_reducible_ms`` on the same matrix with the
+edges from the second half of the nodes into the first removed: the halves are
+then joined in one direction only, and the root comes from more than one
+strongly connected component.  ``spectral_radius_zero_rows_ms`` times it on the
+pseudo-effective matrix with ``s = 0`` on the first half of the nodes, as for
+vaccinated nodes: their rows are zero, and each of them is its own component.
 
 The ``_peak_mib`` rows are ``tracemalloc`` peaks of one call, in MiB: ``integrate``
 keeping every state and keeping every 100th (as a command with ``rn_interval: 100``
@@ -102,6 +109,10 @@ def layers(n: int, scratch: Path) -> dict:
     trajectory = rn.integrate(net, state0, rn.ModelKind.SIR, DT, STEPS)
     state, spec = trajectory[STEPS], rn.PrivacySpec(epsilon0=1.0)
     pseudo = build_matrix(net, state, MatrixKind.PSEUDO_EFFECTIVE).values
+    reducible = pseudo.copy()
+    reducible[: n // 2, n // 2 :] = 0.0  # no edge from the second half into the first
+    zero_rows = pseudo.copy()
+    zero_rows[: n // 2] = 0.0  # s = 0 on the first half
     fractions = np.stack([trajectory.s, trajectory.x, trajectory.r])
     box = (np.full(partition.m, CLAMP[0]), np.full(partition.m, CLAMP[1]), np.ones(partition.m, dtype=bool))
     private = functools.partial(rn.run_pipeline, net, state, partition, spec, clamp=CLAMP)
@@ -124,6 +135,8 @@ def layers(n: int, scratch: Path) -> dict:
         "run_pipeline_cold_ms": best(private, 3, clear_calibrations) * 1e3,
         "cern_vector_ms": best(lambda: cern_vector(net, state, partition)) * 1e3,
         "spectral_radius_ms": best(lambda: spectral_radius(pseudo)) * 1e3,
+        "spectral_radius_reducible_ms": best(lambda: spectral_radius(reducible)) * 1e3,
+        "spectral_radius_zero_rows_ms": best(lambda: spectral_radius(zero_rows)) * 1e3,
         "write_states_ns_per_value": best(lambda: csvio.write_states_csv(scratch / "states.csv", trajectory))
         / fractions.size * 1e9,
         "write_states_fallback_share": float(1.0 - np.mean(csvio._fast(fractions))),

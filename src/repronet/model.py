@@ -67,25 +67,29 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Check strong connectivity of the graph induced by positive entries.
+def _components(adj: np.ndarray):
+    """Yield the strongly connected components of the graph of positive entries,
+    each as an ascending array of nodes.
 
-    Node 0 must reach, and be reached from, every node; each array operation
-    advances a whole breadth-first level.  (``scipy.sparse.csgraph`` would
-    add ~10 MiB of resident memory and ~30 ms to every command's start-up.)
+    The lowest unplaced node's component is what it reaches among the unplaced
+    nodes that reach it, so the forward reach keeps to the backward one's result:
+    a node with no in-edge (``s_i = 0`` in an effective matrix) costs one level,
+    and each array operation advances a whole breadth-first level.  (scipy's
+    ``csgraph`` would add ~10 MiB of resident memory and ~30 ms to each start-up.)
     """
     positive = adj > 0.0
-    # positive[i, j] means an edge j -> i; its transpose reverses every edge
-    for mat in (positive, positive.T):
-        reached = np.zeros(adj.shape[0], dtype=bool)
-        frontier = ~reached
-        frontier[1:] = False
-        while frontier.any():
-            reached |= frontier
-            frontier = mat[:, frontier].any(axis=1) & ~reached
-        if not reached.all():
-            return False
-    return True
+    placed = np.zeros(adj.shape[0], dtype=bool)
+    while not placed.all():
+        component = ~placed
+        # positive[i, j] means an edge j -> i; its transpose reverses every edge
+        for mat in (positive.T, positive):
+            reached = frontier = np.arange(placed.size) == np.argmin(placed)
+            while frontier.any():
+                frontier = mat[:, frontier].any(axis=1) & component & ~reached
+                reached |= frontier
+            component = reached
+        placed |= component
+        yield np.flatnonzero(component)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +119,7 @@ class TransmissionNetwork:
         gamma = _as_vector(self.gamma, n, "gamma")
         if not np.all((gamma > 0.0) & (gamma <= 1.0)):
             raise ConfigError("recovery rates must be finite and lie in (0, 1]")
-        if not _strongly_connected(b):
+        if next(_components(b)).size != n:
             raise ConfigError("transmission graph is not strongly connected")
         b.setflags(write=False)
         gamma = gamma.copy()

@@ -434,12 +434,12 @@ def calibrate_sigma(
 ) -> tuple[float, np.ndarray]:
     """Smallest noise scale satisfying the privacy inequality, plus offset.
 
-    Bisects sigma to relative precision 1e-6 over the bracket
-    ``[1e-8 k, 10 max(u - l)]``; inactive entries (mask false) contribute
-    nothing to the width sum.  The active entries must share one box width
-    (``ConfigError`` otherwise), which is what makes the worst-case offset
-    exact.  Raises ``CalibrationInfeasibleError`` when no sigma in the
-    bracket works.
+    Bisects sigma to relative precision 1e-6 over the bracket ``[1e-8 k,
+    10 max(u - l)]``, whose top must be finite; inactive entries (mask false)
+    contribute nothing to the width sum.  The active entries must share one
+    box width, which is what makes the worst-case offset exact.  Either rule
+    broken raises ``ConfigError``; ``CalibrationInfeasibleError`` means that
+    no sigma in the bracket works.
 
     With one width ``w`` and one offset ``c`` in all ``d`` active
     coordinates, ``delta_c`` is one ratio multiplied ``d`` times, so each
@@ -456,14 +456,19 @@ def calibrate_sigma(
     mask = np.asarray(support_mask, dtype=bool)
     if lower.shape != upper.shape or lower.shape != mask.shape:
         raise ConfigError("bounds and support mask must have matching shapes")
-    if np.any(lower >= upper):
+    if not np.all(lower < upper):  # NaN fails too
         raise ConfigError("every bound pair must satisfy lower < upper")
     if not np.any(mask):
         raise ConfigError("at least one entry must be active for calibration")
+    with np.errstate(over="ignore"):
+        tops = 10.0 * (upper - lower)
+    i = int(np.argmax(tops))
+    if not math.isfinite(tops[i]):
+        raise ConfigError(f"noise box [{lower[i]}, {upper[i]}] is too wide: 10 (upper - lower) must be finite")
 
     widths_active = (upper - lower)[mask]
     lo = 1e-8 * k
-    hi = 10.0 * float(np.max(upper - lower))
+    hi = float(tops[i])
     if lo == 0.0:
         raise ConfigError(f"adjacency radius k={k} is too small: the bracket's 1e-8 k underflows to 0")
     width, d = _shared_width(widths_active), widths_active.size
@@ -531,6 +536,8 @@ class PrivacySpec:
         lo, hi = float(bounds[0]), float(bounds[1])
         if not lo < hi:
             raise ConfigError(f"need lower < upper in bounds, got [{lo}, {hi}]")
+        if not math.isfinite(10.0 * (hi - lo)):
+            raise ConfigError(f"noise box [{lo}, {hi}] is too wide: 10 (upper - lower) must be finite")
         object.__setattr__(self, "bounds", (lo, hi))
 
     @property

@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, ConvergenceError, UndefinedRatioError
-from .model import EpidemicState, Trajectory, TransmissionNetwork, _check_size, inflow
+from .model import EpidemicState, Trajectory, TransmissionNetwork, _check_size, _components, inflow
 
 __all__ = [
     "DEFAULT_INFECTION_FLOOR",
@@ -411,56 +411,44 @@ def build_matrix(
 def spectral_radius(matrix: np.ndarray, rtol: float = 1e-12, max_iter: int = 10_000) -> float:
     """Perron root of a finite non-negative square matrix, certified by a bracket.
 
-    Power iteration from the all-ones vector.  Every iterate ``v > 0`` gives
-    the Collatz-Wielandt bracket ``min_i (Mv)_i/v_i <= rho <= max_i
-    (Mv)_i/v_i`` (Horn & Johnson, *Matrix Analysis*, ch. 8).  Each step
-    multiplies by ``M + uI``, where ``u`` is the tightest upper bound so far
-    (the largest row sum at the start): a shift that scales with the
-    matrix makes irreducible matrices primitive without swamping the
-    spectral gap of a matrix with a tiny root.  A reducible matrix (a zero
-    row, a block triangle) has a Perron vector with zero entries, whose
-    ratios hold the lower end down; so the lower end is also taken from the
-    iterate with its negligible entries zeroed, since ``Mx >= mu x`` with
-    ``x >= 0``, ``x != 0`` implies ``rho >= mu``.  Returns the bracket's
-    midpoint once its width is at most ``rtol`` times its upper end, and
-    raises ``ConvergenceError`` after ``max_iter`` iterations.
-
-    A zero root is certified before iterating, since no bracket closes
-    relative to it: ``rho = 0`` exactly when the support digraph has no
-    cycle, that is, when repeatedly removing the sinks (nodes with no edge
-    to a remaining node) removes every node.
+    The root is the largest over the diagonal blocks of the support's strongly
+    connected components (the Frobenius normal form; Horn & Johnson, *Matrix
+    Analysis*, ch. 8).  A one-node block's root is its diagonal entry, so an
+    acyclic support gives exactly 0.  A larger block is irreducible: power
+    iteration by ``M + uI`` from the all-ones vector, with ``u`` the tightest
+    upper bound so far, brackets its root at every iterate ``v > 0`` by
+    ``min_i (Mv)_i/v_i <= rho <= max_i (Mv)_i/v_i`` (Collatz-Wielandt).  The
+    shift scales with the block, so it makes the block primitive without
+    swamping the spectral gap of a tiny root.  A block's root is its bracket's
+    midpoint once the width is at most ``rtol`` times the upper end; a block
+    still open after ``max_iter`` iterations raises ``ConvergenceError``.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)) or np.any(mat < 0.0):
         raise ConfigError("spectral radius requires a finite non-negative matrix")
-    support = mat > 0.0
-    alive = np.ones(mat.shape[0], dtype=bool)
-    while (sinks := alive & ~np.any(support[:, alive], axis=1)).any():
-        alive &= ~sinks
-    if not alive.any():
-        return 0.0
-    vec = np.ones(mat.shape[0])
-    lower, upper = 0.0, math.inf
-    for _ in range(max_iter):
-        product = mat @ vec
-        ratios = product / vec
-        upper = min(upper, float(np.max(ratios)))
-        lower = max(lower, float(np.min(ratios)))
-        kept = vec >= rtol * float(np.max(vec))
-        if upper - lower > rtol * upper and not np.all(kept):
-            head = np.where(kept, vec, 0.0)
-            lower = max(lower, float(np.min((mat @ head)[kept] / vec[kept])))
-        if upper - lower <= rtol * upper:
-            return 0.5 * (lower + upper)
-        vec = product + upper * vec
-        # Any positive vector gives a valid bracket; the floor keeps entries
-        # that decay without bound (a nilpotent block) from underflowing to 0.
-        vec = np.maximum(vec / np.max(vec), np.finfo(float).tiny)
-    raise ConvergenceError(
-        f"power iteration did not close the spectral bracket within {max_iter} iterations"
-    )
+    root = 0.0
+    for nodes in _components(mat):
+        if nodes.size == 1:
+            root = max(root, float(mat[nodes[0], nodes[0]]))
+            continue
+        block = mat if nodes.size == len(mat) else mat[np.ix_(nodes, nodes)]
+        vec, lower, upper = np.ones(nodes.size), 0.0, math.inf
+        for _ in range(max_iter):
+            product = block @ vec
+            ratios = product / vec
+            upper = min(upper, float(np.max(ratios)))
+            lower = max(lower, float(np.min(ratios)))
+            if upper - lower <= rtol * upper:
+                break
+            vec = product + upper * vec
+            # any positive vector gives a valid bracket; the floor keeps v > 0
+            vec = np.maximum(vec / np.max(vec), np.finfo(float).tiny)
+        else:
+            raise ConvergenceError(f"power iteration did not close a spectral bracket in {max_iter} iterations")
+        root = max(root, 0.5 * (lower + upper))
+    return root
 
 
 def network_reproduction(net: TransmissionNetwork, state: EpidemicState | None = None) -> float:

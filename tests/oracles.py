@@ -94,15 +94,31 @@ from repronet.reproduction import (
 from repronet.seeding import StreamRole, generators, streams
 
 
-def strongly_connected(b):
-    """Every node reaches every other along positive entries (transitive closure)."""
+def _transitive_closure(b):
+    """``reach[i][j]``: i == j, or a chain of positive entries ``b[i][k]``, ..., ``b[l][j]`` links them."""
     n = len(b)
     reach = [[i == j or b[i][j] > 0.0 for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(n):
                 reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    return all(all(row) for row in reach)
+    return reach
+
+
+def strongly_connected(b):
+    """Every node reaches every other along positive entries (transitive closure)."""
+    return all(all(row) for row in _transitive_closure(b))
+
+
+def components_reference(b):
+    """Strongly connected components from the transitive closure: each a list of
+    ascending nodes, the components in order of their lowest node."""
+    reach, placed, components = _transitive_closure(b), set(), []
+    for i in range(len(b)):
+        if i not in placed:
+            components.append([j for j in range(len(b)) if reach[i][j] and reach[j][i]])
+            placed.update(components[-1])
+    return components
 
 
 def sir_derivative(b, gamma, s, x):

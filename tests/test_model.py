@@ -88,6 +88,7 @@ def test_network_validation():
 def test_strong_connectivity_check_matches_oracle_property(seed, n, density):
     rng = np.random.default_rng(seed)
     b = np.where(rng.random((n, n)) < density, 0.2, 0.0)
+    assert [c.tolist() for c in model._components(b)] == oracles.components_reference(b)
     if oracles.strongly_connected(b):
         rn.TransmissionNetwork(b=b, gamma=np.full(n, 0.5))
     else:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ def test_calibrate_sigma_rejects_non_finite_epsilon0_and_k(value):
         calibrate_sigma(1.0, value, *bounds)
     with pytest.raises(ConfigError, match="underflows to 0"):  # a bracket from sigma = 0 would divide by it
         calibrate_sigma(1.0, 1e-320, *bounds)
+
+
+@pytest.mark.parametrize("box", [(0.0, 1e308), (-1e308, 1e308)])
+def test_privacy_spec_rejects_a_box_whose_bracket_overflows(box):
+    # the first box's width is finite, but the bracket's top 10 (upper - lower) is not
+    with pytest.raises(ConfigError, match=re.escape(f"noise box [{box[0]}, {box[1]}] is too wide")):
+        PrivacySpec(epsilon0=1.0, bounds=box)
+
+
+@pytest.mark.parametrize("box", [(0.0, 1e308), (-1e308, 1e308)])
+def test_calibrate_sigma_rejects_a_box_whose_bracket_overflows(box):
+    lower, upper = np.full(2, box[0]), np.full(2, box[1])
+    with pytest.raises(ConfigError, match=re.escape(f"noise box [{box[0]}, {box[1]}] is too wide")):
+        calibrate_sigma(1.0, 1e-5, lower, upper, np.array([True, False]))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -119,18 +119,32 @@ def test_spectral_radius_against_dense_oracle(rng):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 10),
-    shape=st.sampled_from(["dense", "zero_row", "upper_block_dominant", "lower_block_dominant"]),
+    shape=st.sampled_from(
+        ["dense", "zero_row", "upper_block_dominant", "lower_block_dominant", "equal_roots", "chain"]
+    ),
     scale=st.floats(1e-4, 1.0),
 )
 @example(seed=0, n=6, shape="dense", scale=1e-4)
+@example(seed=0, n=5, shape="chain", scale=1.0)
 @settings(max_examples=60, deadline=None)
 def test_spectral_radius_bracket_matches_oracle_property(seed, n, shape, scale):
     # A zero row or a dominant upper-left block gives a Perron vector with zero
-    # entries; a scale of 1e-4 puts the root far below a unit shift.
+    # entries; a scale of 1e-4 puts the root far below a unit shift.  Equal
+    # block roots make the root defective, where eigvals is accurate to about
+    # 1e-8 only, so those shapes take the largest root over the diagonal blocks.
     gen = np.random.default_rng(seed)
     mat = gen.uniform(0.0, 1.0, (n, n))
     if shape == "zero_row":
         mat[gen.integers(0, n)] = 0.0
+    elif shape in ("equal_roots", "chain"):
+        # two blocks, or three in a chain, each feeding only the next, all of root 1
+        cuts = np.sort(gen.choice(np.arange(1, n), min(n - 1, 1 if shape == "equal_roots" else 2), replace=False))
+        blocks = np.split(np.arange(n), cuts)
+        for a, rows in enumerate(blocks):
+            for b, cols in enumerate(blocks):
+                if b not in (a, a - 1):
+                    mat[np.ix_(rows, cols)] = 0.0
+            mat[np.ix_(rows, rows)] /= oracles.spectral_radius(mat[np.ix_(rows, rows)])
     elif shape != "dense":
         cut = int(gen.integers(1, n))
         mat[cut:, :cut] = 0.0
@@ -142,12 +156,22 @@ def test_spectral_radius_bracket_matches_oracle_property(seed, n, shape, scale):
         else:
             mat[:cut, :cut] *= ratio * tail / head
     mat *= scale
-    assert rn.spectral_radius(mat) == pytest.approx(oracles.spectral_radius(mat), rel=1e-11)
+    if shape in ("equal_roots", "chain"):
+        expected = max(oracles.spectral_radius(mat[np.ix_(rows, rows)]) for rows in blocks)
+    else:
+        expected = oracles.spectral_radius(mat)
+    assert rn.spectral_radius(mat) == pytest.approx(expected, rel=1e-11)
 
 
 def test_spectral_radius_keeps_iteration_budget():
-    with pytest.raises(ConvergenceError):
-        rn.spectral_radius(np.array([[1.0, 1.0], [0.0, 1.0]]))  # defective root: 1/t convergence
+    # defective roots, which a power iteration over the whole matrix closes
+    # only like 1/t, are exact on the components' blocks
+    assert rn.spectral_radius(np.array([[1.0, 1.0], [0.0, 1.0]])) == 1.0
+    assert rn.spectral_radius(np.eye(3) + np.eye(3, k=1)) == 1.0
+    assert rn.spectral_radius(np.array([[0.5, 0.5], [0.0, 0.5]])) == 0.5
+    two_cycles = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+    two_cycles[1, 2] = 1.0
+    assert rn.spectral_radius(two_cycles) == 1.0
     with pytest.raises(ConvergenceError):
         rn.spectral_radius(np.array([[1.0, 2.0], [3.0, 1.0]]), max_iter=1)
 
@@ -169,7 +193,7 @@ def test_spectral_radius_of_acyclic_support_is_zero():
     assert np.count_nonzero(effective) == 3
     assert rn.spectral_radius(effective) == 0.0
     assert rn.network_reproduction(net, state) == 0.0
-    # a sink beside a cycle still takes the power iteration
+    # a sink beside a self-loop: the root is the self-loop's entry
     assert rn.spectral_radius(np.array([[0.5, 1.0], [0.0, 0.0]])) == pytest.approx(0.5, rel=1e-12)
 
 
