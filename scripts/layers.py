@@ -13,7 +13,10 @@ A timing is the best of 5 in-process runs.  A cold pipeline run is the best of
 3, each after clearing both calibration caches.  ``write_states_ns_per_value``
 times ``csvio.write_states_csv`` on the whole trajectory, per fraction written
 (three per row), and ``write_states_fallback_share`` is the share of those
-fractions that its kernel hands to Python's ``%``.  ``calibrate_sigma_us`` times
+fractions that its kernel hands to Python's ``%``.  ``write_rn_ns_per_value`` and
+``write_rn_fallback_share`` are the same for ``csvio.write_rn_csv`` on the
+effective matrix at the state, clamped to (0, 14), which is what ``compute-rn``
+writes per sampled epoch.  ``calibrate_sigma_us`` times
 one uncached ``privacy.calibrate_sigma`` at ``epsilon0 = 1``, ``k = 1e-5`` and the
 box (0, 14), with one active entry per cluster.  ``ndtr_ns_per_value`` times
 ``privacy.ndtr`` on the arrays that a cold private pipeline run passes it, per
@@ -32,7 +35,8 @@ vaccinated nodes: their rows are zero, and each of them is its own component.
 
 The ``_peak_mib`` rows are ``tracemalloc`` peaks of one call, in MiB: ``integrate``
 keeping every state and keeping every 100th (as a command with ``rn_interval: 100``
-does), and ``analysis.threshold_report`` on the whole trajectory.
+does), ``analysis.threshold_report`` on the whole trajectory, and
+``csvio.write_rn_csv`` on the effective matrix.
 """
 
 import argparse
@@ -109,6 +113,8 @@ def layers(n: int, scratch: Path) -> dict:
     trajectory = rn.integrate(net, state0, rn.ModelKind.SIR, DT, STEPS)
     state, spec = trajectory[STEPS], rn.PrivacySpec(epsilon0=1.0)
     pseudo = build_matrix(net, state, MatrixKind.PSEUDO_EFFECTIVE).values
+    effective = build_matrix(net, state, MatrixKind.EFFECTIVE, clamp=CLAMP).values
+    write_rn = functools.partial(csvio.write_rn_csv, scratch / "rn.csv", [(state.t, effective)], "effective")
     reducible = pseudo.copy()
     reducible[: n // 2, n // 2 :] = 0.0  # no edge from the second half into the first
     zero_rows = pseudo.copy()
@@ -140,6 +146,9 @@ def layers(n: int, scratch: Path) -> dict:
         "write_states_ns_per_value": best(lambda: csvio.write_states_csv(scratch / "states.csv", trajectory))
         / fractions.size * 1e9,
         "write_states_fallback_share": float(1.0 - np.mean(csvio._fast(fractions))),
+        "write_rn_ns_per_value": best(write_rn) / effective.size * 1e9,
+        "write_rn_fallback_share": float(1.0 - np.mean(csvio._fast(effective))),
+        "write_rn_peak_mib": peak_mib(write_rn),
         "calibrate_sigma_us": best(lambda: privacy.calibrate_sigma(1.0, 1e-5, *box)) * 1e6,
         "ndtr_ns_per_value": best(lambda: [privacy.ndtr(a) for a in sampled]) / sum(a.size for a in sampled) * 1e9,
         "rmse_sweep_ms": best(

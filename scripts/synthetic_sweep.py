@@ -49,13 +49,8 @@ def main() -> int:
     csvio.write_states_csv(out / "states.csv", trajectory[::40])
     epochs = [trajectory[160], trajectory[320]]
 
-    records = []
-    for state in epochs:
-        exact = cluster_matrix(net, state, partition, clamp=(0.0, 14.0))
-        for q in range(4):
-            for r in range(4):
-                records.append((state.t, q, r, exact.values[q, r], "cluster"))
-    csvio.write_rn_csv(out / "cluster_rn.csv", records)
+    matrices = [(state.t, cluster_matrix(net, state, partition, clamp=(0.0, 14.0)).values) for state in epochs]
+    csvio.write_rn_csv(out / "cluster_rn.csv", matrices, "cluster")
 
     report = rmse_sweep(
         net,

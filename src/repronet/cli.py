@@ -24,7 +24,6 @@ import contextlib
 import dataclasses
 import math
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from . import analysis, csvio, protocol, reproduction
@@ -97,13 +96,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _records(matrices, kind: str):
-    """One (t, row, column, value, kind) record per entry of each (t, matrix values) pair."""
-    for t, values in matrices:
-        for i, row in enumerate(values):
-            yield from zip(repeat(t), repeat(i), range(len(row)), row.tolist(), repeat(kind))
-
-
 def _cmd_compute_rn(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
@@ -118,7 +110,7 @@ def _cmd_compute_rn(args) -> int:
     )
     local_rn = ctx.out / "local_rn.csv"
     try:
-        csvio.write_rn_csv(local_rn, _records(matrices, "effective"))
+        csvio.write_rn_csv(local_rn, matrices, "effective")
     except RepronetError:  # a failed command leaves no truncated file that reads as complete
         local_rn.unlink(missing_ok=True)
         raise
@@ -138,30 +130,36 @@ def _cmd_cluster_rn(args) -> int:
         (state.t, reproduction.cluster_matrix(ctx.net, state, ctx.partition, floor, clamp).values)
         for state in ctx.trajectory(scenario.rn_interval)
     ]
-    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(matrices, "cluster"))
+    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", matrices, "cluster")
     print(f"wrote {ctx.out / 'cluster_rn.csv'} ({len(matrices)} epochs)")
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     # opened before _Context makes the output directory: an unusable path fails first
-    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_fh:
-        ctx = _Context(args)
-        scenario = ctx.scenario
-        spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
-        matrices = protocol.run_pipeline(
-            ctx.net,
-            ctx.trajectory(scenario.rn_interval),
-            ctx.partition,
-            spec,
-            master_seed=scenario.seed,
-            epoch=scenario.sampled_epochs(),
-            floor=scenario.infection_floor,
-            clamp=scenario.privacy.clamp,
-            trace=trace_fh,
-        )
+    trace = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+    try:
+        with trace as trace_fh:
+            ctx = _Context(args)
+            scenario = ctx.scenario
+            spec = None if args.no_privacy else build_privacy_spec(scenario, ctx.partition)
+            matrices = protocol.run_pipeline(
+                ctx.net,
+                ctx.trajectory(scenario.rn_interval),
+                ctx.partition,
+                spec,
+                master_seed=scenario.seed,
+                epoch=scenario.sampled_epochs(),
+                floor=scenario.infection_floor,
+                clamp=scenario.privacy.clamp,
+                trace=trace_fh,
+            )
+    except (RepronetError, OSError):  # an empty trace would read as a run that sent no messages
+        if args.trace:
+            Path(args.trace).unlink(missing_ok=True)
+        raise
     kind = "cluster" if spec is None else "cluster_private"
-    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", _records(((m.t, m.values) for m in matrices), kind))
+    csvio.write_rn_csv(ctx.out / "cluster_rn.csv", ((m.t, m.values) for m in matrices), kind)
     mode = "no privacy" if spec is None else f"epsilon0={spec.epsilon0:g}"
     print(f"pipeline ({mode}) wrote {ctx.out / 'cluster_rn.csv'} ({len(matrices)} epochs)")
     return 0

@@ -8,9 +8,9 @@ Rows end in ``\\r\\n``, as ``csv.writer`` ends them (the CLI writes ``network_rn
 itself, with ``\\n``), and floats are written as ``%.17g``, so a write/read round
 trip is bit-exact.
 
-The state writer formats its floats in numpy, through ``_g17``, and writes the
-same bytes as Python's ``%``.  A finite ``v`` in ``[1e-4, 1)`` takes an exact fast
-path:
+The state and rn writers take arrays and share one row writer, ``_write_rows``, which
+joins blocks of NUL-padded numpy cells.  Their floats go through ``_g17``, which writes
+the same bytes as Python's ``%``.  A finite ``v`` in ``[1e-4, 1)`` takes an exact fast path:
 
 * its decimal exponent ``X`` in ``-1..-4`` comes from three comparisons, exact
   because ``fl(10**-k)`` lies above ``10**-k`` for ``k = 1..4``;
@@ -32,15 +32,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import io
 import itertools
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analysis import AccuracyReport, ThresholdReport
+from .analysis import AccuracyReport, ClusterThreshold, EntryAccuracy, EpsilonSummary, NodeThreshold, ThresholdReport
 from .exceptions import ConfigError
 from .model import EpidemicState, Trajectory
 
@@ -95,12 +94,10 @@ def _data_rows(path, kind: str, header: list[str] | None = None):
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n = matrix.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"j{j + 1}" for j in range(n)])
-        for row in matrix:
-            writer.writerow(["%.17g" % v for v in row])
+        writer.writerow([f"j{j + 1}" for j in range(matrix.shape[1])])
+        writer.writerows(["%.17g" % v for v in row] for row in matrix.tolist())
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -156,10 +153,10 @@ _BLOCK_ROWS = 4096  # larger blocks lift simulate's peak memory above report's
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """Four-digit groups as uint32 words of ASCII, untrimmed then trimmed, and the
     8-byte words ``"0."``, ``k`` zeros and a digit ``d`` at ``10 * k + d``; NUL pads both."""
-    g = np.arange(10_000, dtype=np.uint16)
-    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8) + ord("0")
-    nonzero_right = np.flip(np.logical_or.accumulate(np.flip(digits != ord("0"), 1), axis=1), 1)
-    groups = np.concatenate([digits, np.where(nonzero_right, digits, 0).astype(np.uint8)])
+    groups = np.empty((2, 10, 10, 10, 10, 4), np.uint8)  # groups[:, a, b, c, d] spells "abcd"
+    for k in range(4):  # slices, no arithmetic: every command that writes a float builds the tables
+        groups[..., k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+        groups[(1,) + (slice(None),) * k + (0,) * (4 - k) + (k,)] = 0  # trimmed: no 0 followed by 0s only
     prefix = np.zeros((4, 10, 8), np.uint8)
     prefix[:, :, :2] = np.frombuffer(b"0.", np.uint8)
     for k in range(4):
@@ -215,25 +212,32 @@ def _g17(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _write_rows(fh, *fields: np.ndarray) -> None:
+    """Write a row per element of the fields' broadcast shape, the last axis aside: their NUL-padded
+    cells, held on that axis, joined by ``,`` and ended by ``\\r\\n``, without the NULs."""
+    ends = np.cumsum([cells.shape[-1] + 1 for cells in fields])
+    buf = np.zeros(np.broadcast_shapes(*(cells.shape[:-1] for cells in fields)) + (ends[-1] + 1,), np.uint8)
+    for cells, end in zip(fields, ends):
+        buf[..., end - 1 - cells.shape[-1]:end - 1] = cells
+        buf[..., end - 1] = ord(",")
+    buf[..., -2:] = np.frombuffer(b"\r\n", np.uint8)
+    fh.write(buf[buf != 0])
+
+
+def _int_cells(n: int) -> np.ndarray:
+    """``b"%d" % i`` of ``i = 0..n-1``, as NUL-padded cells as wide as ``n``'s."""
+    return np.array([b"%d" % i for i in range(n)], f"S{len(str(n))}").view(np.uint8).reshape(-1, len(str(n)))
+
+
 def write_states_csv(path, states: Sequence[EpidemicState]) -> None:
     trajectory = Trajectory.from_states(states)
-    n, samples = trajectory.n, len(trajectory)
-    per_block = max(1, _BLOCK_ROWS // max(n, 1))
-    # one row is five fields t, node, s, x, r of a cell and a separator, all NUL-padded
-    buf = np.zeros((min(per_block, samples), n, 5, _CELL + 2), np.uint8)
-    buf[..., :4, _CELL] = ord(",")
-    buf[..., 4, _CELL:] = np.frombuffer(b"\r\n", np.uint8)
-    nodes = np.array([b"%d" % i for i in range(n)], dtype=f"S{_CELL}")
-    buf[..., 1, :_CELL] = nodes.view(np.uint8).reshape(n, _CELL)
+    per_block, nodes = max(1, _BLOCK_ROWS // max(trajectory.n, 1)), _int_cells(trajectory.n)
     with open(path, "wb") as fh:
         fh.write(b"t,node,s,x,r\r\n")
-        for start in range(0, samples, per_block):
+        for start in range(0, len(trajectory), per_block):
             rows = slice(start, start + per_block)
-            block = buf[: min(per_block, samples - start)]
-            block[..., 0, :_CELL] = _g17(trajectory.t[rows])[:, None]
-            for field, values in ((2, trajectory.s), (3, trajectory.x), (4, trajectory.r)):
-                block[..., field, :_CELL] = _g17(values[rows])
-            fh.write(block[block != 0])
+            fractions = (_g17(values[rows]) for values in (trajectory.s, trajectory.x, trajectory.r))
+            _write_rows(fh, _g17(trajectory.t[rows])[:, None], nodes, *fractions)
 
 
 def read_states_csv(path) -> Trajectory:
@@ -266,18 +270,22 @@ def read_states_csv(path) -> Trajectory:
     return Trajectory(t, *fractions)
 
 
-def write_rn_csv(path, records: Iterable[tuple]) -> None:
-    """Write (t, i, j, value, kind) records: integer i, j, and a kind ``csv.writer`` leaves as is."""
-    records = iter(records)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,i,j,value,kind\r\n")
-        while chunk := list(itertools.islice(records, 8192)):
-            cells = list(itertools.chain.from_iterable(chunk))
-            for kind in set(cells[4::5]):
-                csv.writer(line := io.StringIO()).writerow(["", kind])
-                if line.getvalue() != f",{kind}\r\n":
-                    raise ConfigError(f"rn kind {kind!r} is not plain CSV text")
-            fh.write("%.17g,%d,%d,%.17g,%s\r\n" * len(chunk) % tuple(cells))
+def write_rn_csv(path, matrices, kind: str) -> None:
+    """Write rows ``t, i, j, values[i, j], kind`` of each ``(t, values)`` pair of a float and a 2-D array, read
+    as the blocks need them.  ``kind`` must be text that ``csv.writer`` writes as is, without a NUL."""
+    if not isinstance(kind, str) or any(c in kind for c in ',"\r\n\0'):
+        raise ConfigError(f"rn kind {kind!r} is not plain CSV text")
+    kind_cell = np.frombuffer(kind.encode(), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"t,i,j,value,kind\r\n")
+        # a block is rows of one matrix, or whole matrices of one shape, so small ones share its numpy calls
+        for (rows, cols), group in itertools.groupby(matrices, lambda pair: pair[1].shape):
+            index, per_block = _int_cells(max(rows, cols)), max(1, _BLOCK_ROWS // max(cols, 1))
+            while batch := list(itertools.islice(group, max(1, per_block // max(rows, 1)))):
+                t_cells = _g17(np.array([t for t, _ in batch]))[:, None, None]
+                for start in range(0, rows, per_block):
+                    block = _g17(np.stack([values[start:start + per_block] for _, values in batch]))
+                    _write_rows(fh, t_cells, index[start:start + block.shape[1], None], index[:cols], block, kind_cell)
 
 
 def read_rn_csv(path) -> list[tuple[float, int, int, float, str]]:
@@ -287,32 +295,26 @@ def read_rn_csv(path) -> list[tuple[float, int, int, float, str]]:
     ]
 
 
-def _cells(record, skip=()) -> list:
-    """A record's fields as CSV cells: floats in full precision, flags as 0/1."""
-    fields = [f for f in dataclasses.fields(record) if f.name not in skip]
-    values = [getattr(record, f.name) for f in fields]
-    return [int(v) if isinstance(v, bool) else "%.17g" % v if isinstance(v, float) else v for v in values]
+def _write_records(path, record_type: type, records, skip=()) -> None:
+    """Write dataclass ``records`` under a header of their type's fields: floats as ``%.17g``, flags as 0/1."""
+    names = [f.name for f in dataclasses.fields(record_type) if f.name not in skip]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for record in records:
+            values = [getattr(record, name) for name in names]
+            writer.writerow([int(v) if isinstance(v, bool) else "%.17g" % v if isinstance(v, float) else v
+                             for v in values])
 
 
 def write_accuracy_csv(path, report: AccuracyReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "eps", "q", "r", "exact", "mean_private", "var_private", "rmse", "pct_error"]
-        )
-        writer.writerows(_cells(e, skip=("t",)) for e in report.entries)
+    _write_records(path, EntryAccuracy, report.entries, skip=("t",))
 
 
 def write_accuracy_summary_csv(path, report: AccuracyReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "feasible", "rmse", "pct_error", "trials", "message"])
-        writer.writerows(_cells(s) for s in report.summaries)
+    _write_records(path, EpsilonSummary, report.summaries)
 
 
 def write_threshold_csvs(node_path, cluster_path, report: ThresholdReport) -> None:
-    for path, rows, key in ((node_path, report.nodes, "node"), (cluster_path, report.clusters, "cluster")):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([key, "first_crossing_t", "peak_t", "agreement_rate", "samples"])
-            writer.writerows(["" if v is None else v for v in _cells(row)] for row in rows)
+    _write_records(node_path, NodeThreshold, report.nodes)
+    _write_records(cluster_path, ClusterThreshold, report.clusters)

@@ -8,7 +8,9 @@ references their array versions must reproduce bit for bit:
 ``trichotomy_counts_reference`` and ``threshold_report_reference`` (one
 validated state per step), with the per-state ``_rhs`` and ``derivative``
 they called, and ``write_states_csv_reference`` and
-``write_rn_csv_reference`` (one ``csv.writer`` row per node or record).
+``write_rn_csv_reference`` (one ``csv.writer`` row per node or record), with
+``rn_records_reference``, the CLI's expansion of ``(t, matrix)`` pairs into the
+records it wrote before ``csvio.write_rn_csv`` took the matrices.
 The per-quantity kernels from before ``lern_vector`` and ``cern_vector``
 took trajectories and every cluster average ran through ``member_sums`` are
 kept too: ``lern_vector_reference``, ``cern_vector_reference`` (over
@@ -26,6 +28,7 @@ import csv
 import json
 import math
 import warnings
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -743,6 +746,13 @@ def write_states_csv_reference(path, states: Sequence[EpidemicState]) -> None:
             t = _fmt(t)
             rows = zip(trajectory.s[k].tolist(), trajectory.x[k].tolist(), trajectory.r[k].tolist())
             writer.writerows([t, i, _fmt(s), _fmt(x), _fmt(r)] for i, (s, x, r) in enumerate(rows))
+
+
+def rn_records_reference(matrices, kind: str):
+    """One (t, row, column, value, kind) record per entry of each (t, matrix values) pair."""
+    for t, values in matrices:
+        for i, row in enumerate(values):
+            yield from zip(repeat(t), repeat(i), range(len(row)), row.tolist(), repeat(kind))
 
 
 def write_rn_csv_reference(path, records: Iterable[tuple]) -> None:

@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+import oracles
 from conftest import run_fresh
 from repronet import csvio
 from repronet.cli import main
@@ -108,12 +109,46 @@ def test_pipeline_with_privacy_marks_kind(tmp_path):
     assert records and all(rec[4] == "cluster_private" for rec in records)
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (["compute-rn"], "local_rn.csv"),
+        (["cluster-rn"], "cluster_rn.csv"),
+        (["pipeline"], "cluster_rn.csv"),
+        (["pipeline", "--no-privacy"], "cluster_rn.csv"),
+    ],
+    ids=["compute-rn", "cluster-rn", "private-pipeline", "pipeline-no-privacy"],
+)
+def test_rn_files_equal_csv_writer_reference(tmp_path, command, name):
+    config = write_config(tmp_path, CLUSTERED)
+    assert main([*command, "--config", str(config)]) == 0
+    written, reference = tmp_path / "out" / name, tmp_path / "reference.csv"
+    oracles.write_rn_csv_reference(reference, csvio.read_rn_csv(written))
+    assert written.read_bytes() == reference.read_bytes()
+
+
 def test_pipeline_trace_records_flow(tmp_path):
     config = write_config(tmp_path, CLUSTERED)
     trace = tmp_path / "trace.jsonl"
     assert main(["pipeline", "--config", str(config), "--trace", str(trace)]) == 0
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
     assert lines and {"step", "from", "to", "payload_digest"} == set(lines[0])
+
+
+@pytest.mark.parametrize(
+    "epsilon0, output_dir, code",
+    [("1.0e-9", "out", 4), ("1.0", "file/out", 2)],  # infeasible calibration; NotADirectoryError
+    ids=["infeasible", "unusable-output-dir"],
+)
+def test_failed_pipeline_leaves_no_trace(tmp_path, capsys, epsilon0, output_dir, code):
+    # the trace is opened first, and an empty one would read as a run that sent no messages
+    config = write_config(tmp_path, CLUSTERED.replace("epsilon0: 1.0", f"epsilon0: {epsilon0}"))
+    (tmp_path / "file").write_text("")
+    trace = tmp_path / "trace.jsonl"
+    args = ["--config", str(config), "--trace", str(trace), "--output-dir", str(tmp_path / output_dir)]
+    assert main(["pipeline", *args]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not trace.exists()
 
 
 def test_same_seed_byte_identical_outputs(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
-from repronet import cli, csvio
+from repronet import csvio
 from repronet.exceptions import ConfigError
 
 
@@ -142,10 +143,16 @@ def test_states_errors(tmp_path):
 
 
 def test_rn_round_trip(tmp_path):
-    records = [(0.0, 0, 1, 1.2345678901234567, "effective"), (0.5, 1, 0, 0.25, "cluster")]
+    matrices = [(0.0, np.array([[0.0, 1.2345678901234567]])), (0.5, np.array([[1.0], [0.25]]))]
     path = tmp_path / "rn.csv"
-    csvio.write_rn_csv(path, records)
-    assert csvio.read_rn_csv(path) == records
+    csvio.write_rn_csv(path, matrices, "effective")
+    assert csvio.read_rn_csv(path) == [
+        (0.0, 0, 0, 0.0, "effective"),
+        (0.0, 0, 1, 1.2345678901234567, "effective"),
+        (0.5, 0, 0, 1.0, "effective"),
+        (0.5, 1, 0, 0.25, "effective"),
+    ]
+    assert csvio.read_rn_csv(path) == list(oracles.rn_records_reference(matrices, "effective"))
 
 
 @given(
@@ -195,51 +202,79 @@ def test_states_writer_bytes_equal_csv_writer_property(tmp_path_factory, n, samp
     assert_same_bytes(tmp_path, csvio.write_states_csv, oracles.write_states_csv_reference, list(trajectory))
 
 
+def assert_rn_same_bytes(tmp_path, matrices, kind):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    csvio.write_rn_csv(got, matrices, kind)
+    oracles.write_rn_csv_reference(want, oracles.rn_records_reference(matrices, kind))
+    assert got.read_bytes() == want.read_bytes()
+
+
 @given(
-    times=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=3),
-    rows=st.lists(
-        st.tuples(
-            st.integers(0, 2),
-            st.integers(0, 2**40) | st.integers(0, 2**40).map(np.int64),
-            st.integers(0, 2**40) | st.integers(0, 2**40).map(np.int64),
-            st.sampled_from(SPECIAL) | st.floats() | st.floats().map(np.float64),
-            st.sampled_from(RN_KINDS),
-        ),
-        max_size=40,
-    ),
+    shapes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+    kind=st.sampled_from(RN_KINDS),
+    data=st.data(),
 )
 @settings(max_examples=150)
-def test_rn_writer_bytes_equal_csv_writer_property(tmp_path_factory, times, rows):
-    records = [(times[k % len(times)], i, j, value, kind) for k, i, j, value, kind in rows]
-    tmp_path = tmp_path_factory.mktemp("rn")
-    assert_same_bytes(tmp_path, csvio.write_rn_csv, oracles.write_rn_csv_reference, records)
+def test_rn_writer_bytes_equal_csv_writer_property(tmp_path_factory, shapes, kind, data):
+    matrices = []
+    for rows, cols in shapes:
+        t = data.draw(st.sampled_from(SPECIAL) | st.floats() | st.floats().map(np.float64))
+        values = data.draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=rows * cols, max_size=rows * cols))
+        matrices.append((t, np.array(values, dtype=float).reshape(rows, cols)))
+    assert_rn_same_bytes(tmp_path_factory.mktemp("rn"), matrices, kind)
 
 
-def test_rn_writer_bytes_equal_csv_writer_across_chunks(tmp_path, rng):
-    # the CLI's records of three 100x100 epochs fill several of the writer's chunks,
-    # and some chunks hold two epochs
+def test_rn_writer_bytes_equal_csv_writer_across_blocks(tmp_path, rng):
+    # three 100x100 epochs take the writer's blocks of 40 rows, an 11x1000 epoch, whose column
+    # indices run past its row indices, blocks of 4 rows, and fifty 10x10 epochs blocks of 40 epochs
     matrices = [(t, rng.uniform(0.0, 2.0, (100, 100))) for t in (-0.0, 0.0, 0.25)]
     matrices[1][1][3, :5] = SPECIAL[:5]
-    records = list(cli._records(matrices, "effective"))
-    assert len(records) == 30_000
-    assert_same_bytes(tmp_path, csvio.write_rn_csv, oracles.write_rn_csv_reference, records)
+    matrices.append((1.0, rng.uniform(0.0, 1e-3, (11, 1000))))
+    matrices += [(2.0 + k, rng.uniform(0.0, 2.0, (10, 10))) for k in range(50)]
+    assert_rn_same_bytes(tmp_path, matrices, "effective")
     lines = (tmp_path / "got.csv").read_text().splitlines()
+    assert len(lines) == 1 + 30_000 + 11_000 + 5_000
     assert lines[1].startswith("-0,0,0,") and lines[10_001].startswith("0,0,0,")
+    assert lines[41_000].startswith("1,10,999,") and lines[-1].startswith("51,9,9,")
+
+
+def rn_writer_peak(path, count: int) -> int:
+    """``tracemalloc`` peak, in bytes, of writing ``count`` 300x300 matrices built one at a time."""
+    matrices = ((0.5 * k, np.random.default_rng(k).uniform(0.0, 1.0, (300, 300))) for k in range(count))
+    tracemalloc.start()
+    try:
+        csvio.write_rn_csv(path, matrices, "effective")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rn_writer_memory_is_bounded_by_its_block(tmp_path):
+    # compute-rn builds each matrix as the writer reads it, so its peak memory, and sir-scan's
+    # peak_rss_mib, must not grow with the number of epochs: a writer that held all twenty
+    # 720 KB matrices, or all their rows, would peak about ten times higher
+    rn_writer_peak(tmp_path / "rn.csv", 1)  # the digit tables are built once per process
+    two, twenty = (rn_writer_peak(tmp_path / "rn.csv", count) for count in (2, 20))
+    assert twenty <= 1.1 * two
 
 
 def test_writers_end_rows_in_crlf(tmp_path):
     path = tmp_path / "rn.csv"
-    csvio.write_rn_csv(path, [(0.5, 1, np.int64(2), 0.25, "effective"), (-0.0, 0, 0, 5e-324, "cluster")])
-    assert path.read_bytes() == b"t,i,j,value,kind\r\n0.5,1,2,0.25,effective\r\n-0,0,0,4.9406564584124654e-324,cluster\r\n"
+    csvio.write_rn_csv(path, [(0.5, np.array([[0.25, 1.0]])), (np.float64(-0.0), np.array([[5e-324]]))], "effective")
+    assert path.read_bytes() == (
+        b"t,i,j,value,kind\r\n0.5,0,0,0.25,effective\r\n0.5,0,1,1,effective\r\n"
+        b"-0,0,0,4.9406564584124654e-324,effective\r\n"
+    )
     state = rn.EpidemicState(t=0.5, s=np.array([0.75, 1.0]), x=np.array([0.25, 0.0]))
     csvio.write_states_csv(path, [state])
     assert path.read_bytes() == b"t,node,s,x,r\r\n0.5,0,0.75,0.25,0\r\n0.5,1,1,0,0\r\n"
 
 
-@pytest.mark.parametrize("kind", ["a,b", 'say "x"', "a\rb", "a\nb", None])
+@pytest.mark.parametrize("kind", ["a,b", 'say "x"', "a\rb", "a\nb", "a\0b", None, 5])
 def test_rn_writer_rejects_kinds_csv_would_quote(tmp_path, kind):
     with pytest.raises(ConfigError, match="not plain CSV text"):
-        csvio.write_rn_csv(tmp_path / "rn.csv", [(0.0, 0, 0, 1.0, "effective"), (0.0, 0, 1, 1.0, kind)])
+        csvio.write_rn_csv(tmp_path / "rn.csv", [(0.0, np.ones((1, 2)))], kind)
+    assert not (tmp_path / "rn.csv").exists()
 
 
 def assert_g17_is_percent_format(values):
