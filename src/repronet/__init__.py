@@ -23,7 +23,7 @@ from .exceptions import (
     ProtocolError,
     RepronetError,
 )
-from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, derivative, integrate
+from .model import EpidemicState, ModelKind, Trajectory, TransmissionNetwork, derivative, integrate, integrate_blocks
 from .privacy import (
     CalibratedMechanism,
     PrivacySpec,

@@ -20,7 +20,7 @@ before it sums, so no order of the reports can change the aggregate.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,35 +378,36 @@ class _Thresholds:
     def __init__(self, k: int):
         self.rows = 0
         self.signs = np.zeros(k)  # the last row's signs; a zero never crosses
-        self.first = np.full(k, -1)  # first crossing row, -1 before one
-        self.peak, self.peak_row = np.full(k, -np.inf), np.zeros(k, dtype=np.intp)
+        self.crossed, self.first = np.zeros(k, dtype=bool), np.zeros(k)  # first crossing times
+        self.peak, self.peak_t = np.full(k, -np.inf), np.zeros(k)
         self.samples, self.agreements = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
 
-    def add(self, series, amounts, rates, valid, band):
-        """Take the next rows: reproduction numbers, infected amounts, their rates and
-        above-floor flags."""
+    def add(self, times, series, amounts, rates, valid, band):
+        """Take the next rows: their times, reproduction numbers, infected amounts, their
+        rates and above-floor flags."""
         gaps = series - 1.0
         signs = np.sign(gaps)
         before = np.concatenate([self.signs[None], signs[:-1]])
         crossed = (signs != 0.0) & (before != 0.0) & (signs != before)
-        found = (self.first < 0) & crossed.any(axis=0)
-        self.first[found] = self.rows + np.argmax(crossed[:, found], axis=0)
+        found = ~self.crossed & crossed.any(axis=0)
+        self.first[found] = times[np.argmax(crossed[:, found], axis=0)]
+        self.crossed |= found
         top = np.argmax(amounts, axis=0)
         higher = amounts[top, np.arange(amounts.shape[1])] > self.peak  # ties keep the earlier row
         self.peak[higher] = amounts[top[higher], higher]
-        self.peak_row[higher] = self.rows + top[higher]
+        self.peak_t[higher] = times[top[higher]]
         counted = valid & (np.abs(gaps) > band)
         self.samples += np.sum(counted, axis=0)
         self.agreements += np.sum(counted & (np.sign(rates) == signs), axis=0)
         self.signs = signs[-1]
         self.rows += len(signs)
 
-    def results(self, times):
+    def results(self):
         """(first crossing, peak time, agreement rate, samples) per column."""
-        for k, (row, samples) in enumerate(zip(self.first, self.samples)):
+        for k, samples in enumerate(self.samples):
             rate = float(self.agreements[k] / samples) if samples else None
-            crossing = float(times[row]) if row >= 0 else None
-            yield crossing, float(times[self.peak_row[k]]), rate, int(samples)
+            crossing = float(self.first[k]) if self.crossed[k] else None
+            yield crossing, float(self.peak_t[k]), rate, int(samples)
 
 
 # Entries per row block of ``threshold_report``: its temporaries stay a few
@@ -416,13 +417,15 @@ _REPORT_BLOCK = 1 << 14
 
 def threshold_report(
     net: TransmissionNetwork,
-    trajectory: Sequence[EpidemicState],
+    trajectory: Sequence[EpidemicState] | Iterator[Trajectory],
     partition: Partition,
     kind: ModelKind = ModelKind.SIR,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
     band: float = THRESHOLD_DEAD_BAND,
 ) -> ThresholdReport:
-    """Per-node and per-cluster threshold diagnostics along a trajectory.
+    """Per-node and per-cluster threshold diagnostics along a trajectory, given as a
+    sequence of states or as an iterator of ``Trajectory`` row blocks
+    (``model.integrate_blocks``), each reduced as it comes.
 
     Reports the first time the entity (cluster) effective reproduction
     number crosses one, the time of peak infection, and the rate at which
@@ -436,27 +439,46 @@ def threshold_report(
     with the bits of ``cern_vector``.  Each kernel computes every row on its
     own, so the report has the bits of a single block of all rows.
     """
-    if not trajectory:
-        raise ConfigError("trajectory must contain at least one state")
-    trajectory = Trajectory.from_states(trajectory)
+    if isinstance(trajectory, Sequence):
+        if not trajectory:
+            raise ConfigError("trajectory must contain at least one state")
+        trajectory = [Trajectory.from_states(trajectory)]
     members = [partition.members(q) for q in range(partition.m)]
 
     def per_cluster(values, reduce):
         return np.stack([reduce(values[:, ms], axis=1) for ms in members], axis=1)
 
-    nodes, clusters = _Thresholds(trajectory.n), _Thresholds(partition.m)
-    step = max(1, _REPORT_BLOCK // trajectory.n)
-    for start in range(0, len(trajectory), step):
-        rows = slice(start, start + step)  # views, where a slice of the trajectory would copy
-        block = Trajectory(*(a[rows] for a in (trajectory.t, trajectory.s, trajectory.x, trajectory.r)))
+    nodes, clusters = _Thresholds(net.n), _Thresholds(partition.m)
+    for block in _row_blocks(trajectory, max(1, _REPORT_BLOCK // net.n)):
         xs, xdots = block.x, infected_derivative(net, block, kind)
         lerns = lern_vector(net, block, floor)
         cerns = cluster_average(lerns, net.gamma * floored_infections(xs, floor), partition)
         above = xs > np.asarray(floor, dtype=float)
-        nodes.add(lerns, xs, xdots, above, band)
-        clusters.add(cerns, per_cluster(xs, np.sum), per_cluster(xdots, np.sum),
+        nodes.add(block.t, lerns, xs, xdots, above, band)
+        clusters.add(block.t, cerns, per_cluster(xs, np.sum), per_cluster(xdots, np.sum),
                      per_cluster(above, np.all), band)
+    if not nodes.rows:
+        raise ConfigError("trajectory must contain at least one state")
     return ThresholdReport(
-        nodes=[NodeThreshold(i, *row) for i, row in enumerate(nodes.results(trajectory.t))],
-        clusters=[ClusterThreshold(q, *row) for q, row in enumerate(clusters.results(trajectory.t))],
+        nodes=[NodeThreshold(i, *row) for i, row in enumerate(nodes.results())],
+        clusters=[ClusterThreshold(q, *row) for q, row in enumerate(clusters.results())],
     )
+
+
+def _row_blocks(blocks: Iterable[Trajectory], rows: int) -> Iterator[Trajectory]:
+    """The rows of ``Trajectory`` blocks of any lengths, in blocks of ``rows`` or a few more
+    (the last may have fewer): long blocks are split into views, short ones joined."""
+    pending = []
+    for block in blocks:
+        for start in range(0, len(block), rows):
+            pending.append([a[start : start + rows] for a in (block.t, block.s, block.x, block.r)])
+            if sum(len(t) for t, *_ in pending) >= rows:
+                yield _joined(pending)
+                pending = []
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(pieces) -> Trajectory:
+    """One ``Trajectory`` of consecutive ``(t, s, x, r)`` pieces; a single piece's views are kept."""
+    return Trajectory(*(parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*pieces)))

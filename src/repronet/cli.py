@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import analysis, csvio, protocol, reproduction
 from .exceptions import ConfigError, RepronetError
-from .model import integrate
+from .model import integrate, integrate_blocks
 from .reproduction import MatrixKind, build_matrix, network_reproduction
 from .scenario import (
     build_initial_state,
@@ -85,13 +85,29 @@ class _Context:
         s = self.scenario
         return integrate(self.net, self.state0, s.model_kind, s.dt, s.steps, every=every)
 
+    def blocks(self):
+        """Every state, in row blocks made as the steps run, for a command that reads each once."""
+        s = self.scenario
+        return integrate_blocks(self.net, self.state0, s.model_kind, s.dt, s.steps)
+
 
 def _cmd_simulate(args) -> int:
     ctx = _Context(args)
-    trajectory = ctx.trajectory()
-    csvio.write_states_csv(ctx.out / "states.csv", trajectory)
-    final = trajectory[-1]
-    print(f"simulated {len(trajectory) - 1} steps to t={final.t:g}; wrote {ctx.out / 'states.csv'}")
+    states_csv, blocks = ctx.out / "states.csv", ctx.blocks()
+    last = []  # the block written last, for the summary
+
+    def written():
+        for block in blocks:
+            last[:] = [block]
+            yield block
+
+    try:
+        csvio.write_states_csv(states_csv, written())
+    except RepronetError:  # a failed command leaves no truncated file that reads as complete
+        states_csv.unlink(missing_ok=True)
+        raise
+    final = last[0][-1]
+    print(f"simulated {ctx.scenario.steps} steps to t={final.t:g}; wrote {states_csv}")
     print(f"final infected fraction range: [{final.x.min():.6g}, {final.x.max():.6g}]")
     return 0
 
@@ -204,10 +220,9 @@ def _cmd_accuracy(args) -> int:
 def _cmd_report(args) -> int:
     ctx = _Context(args)
     scenario = ctx.scenario
-    trajectory = ctx.trajectory()
     report = analysis.threshold_report(
         ctx.net,
-        trajectory,
+        ctx.blocks(),
         ctx.partition,
         scenario.model_kind,
         scenario.infection_floor,

@@ -23,8 +23,11 @@ the same bytes as Python's ``%``.  A finite ``v`` in ``[1e-4, 1)`` takes an exac
   digit, then of four four-digit groups.  A group whose right-hand groups are all
   zero is looked up in a copy of the table without trailing zeros.
 
-Every other value (zeros, ``t >= 1``, tiny values, negatives, inf and NaN) is
-formatted by ``%``, batched into one array.
+An exact ``+0.0`` is the cell ``0``.  Every other value (``-0.0``, ``t >= 1``, tiny
+values, negatives, inf and NaN) is formatted by ``%``, batched into one array.
+
+``write_states_csv`` takes a trajectory or an iterator of its row blocks, and
+``write_rn_csv`` an iterable of matrices; each writes what it reads as it reads it.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import itertools
 import warnings
+from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -180,8 +182,16 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fast(v: np.ndarray) -> np.ndarray:
-    """Where ``_g17`` formats a value itself: finite values in ``[1e-4, 1)``."""
+    """Where ``_g17`` formats a value's digits itself: finite values in ``[1e-4, 1)``."""
     return (v >= 1e-4) & (v < 1.0)
+
+
+def _zero(v: np.ndarray) -> np.ndarray:
+    """Where ``_g17`` writes the cell ``0``: exact ``+0.0``, not ``-0.0``."""
+    return (v == 0.0) & ~np.signbit(v)
+
+
+_ZERO_CELL = np.frombuffer(b"0".ljust(_CELL, b"\0"), np.uint8)
 
 
 def _g17(values: np.ndarray) -> np.ndarray:
@@ -207,8 +217,12 @@ def _g17(values: np.ndarray) -> np.ndarray:
     words[..., 4] = groups[g3 + 10_000 * (g4 == 0)]
     words[..., 5] = groups[g4 + 10_000]
     if not fast.all():
-        slow = [b"%.17g" % x for x in v[~fast].tolist()]
-        out[~fast] = np.array(slow, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+        zero = _zero(v)
+        out[zero] = _ZERO_CELL
+        slow = ~(fast | zero)
+        if slow.any():
+            cells = [b"%.17g" % x for x in v[slow].tolist()]
+            out[slow] = np.array(cells, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
     return out
 
 
@@ -224,20 +238,26 @@ def _write_rows(fh, *fields: np.ndarray) -> None:
     fh.write(buf[buf != 0])
 
 
+@functools.cache
 def _int_cells(n: int) -> np.ndarray:
-    """``b"%d" % i`` of ``i = 0..n-1``, as NUL-padded cells as wide as ``n``'s."""
-    return np.array([b"%d" % i for i in range(n)], f"S{len(str(n))}").view(np.uint8).reshape(-1, len(str(n)))
+    """``b"%d" % i`` of ``i = 0..n-1``, as read-only NUL-padded cells as wide as ``n``'s."""
+    cells = np.array([b"%d" % i for i in range(n)], f"S{len(str(n))}").view(np.uint8).reshape(-1, len(str(n)))
+    cells.setflags(write=False)
+    return cells
 
 
-def write_states_csv(path, states: Sequence[EpidemicState]) -> None:
-    trajectory = Trajectory.from_states(states)
-    per_block, nodes = max(1, _BLOCK_ROWS // max(trajectory.n, 1)), _int_cells(trajectory.n)
+def write_states_csv(path, states: Sequence[EpidemicState] | Iterator[Trajectory]) -> None:
+    """Write the rows of a sequence of states (a ``Trajectory``, say), or of an iterator of
+    ``Trajectory`` blocks (``model.integrate_blocks``), each block written as it comes."""
+    blocks = [Trajectory.from_states(states)] if isinstance(states, Sequence) else states
     with open(path, "wb") as fh:
         fh.write(b"t,node,s,x,r\r\n")
-        for start in range(0, len(trajectory), per_block):
-            rows = slice(start, start + per_block)
-            fractions = (_g17(values[rows]) for values in (trajectory.s, trajectory.x, trajectory.r))
-            _write_rows(fh, _g17(trajectory.t[rows])[:, None], nodes, *fractions)
+        for block in blocks:
+            per_block, nodes = max(1, _BLOCK_ROWS // max(block.n, 1)), _int_cells(block.n)
+            for start in range(0, len(block), per_block):
+                rows = slice(start, start + per_block)
+                fractions = (_g17(values[rows]) for values in (block.s, block.x, block.r))
+                _write_rows(fh, _g17(block.t[rows])[:, None], nodes, *fractions)
 
 
 def read_states_csv(path) -> Trajectory:
@@ -272,20 +292,38 @@ def read_states_csv(path) -> Trajectory:
 
 def write_rn_csv(path, matrices, kind: str) -> None:
     """Write rows ``t, i, j, values[i, j], kind`` of each ``(t, values)`` pair of a float and a 2-D array, read
-    as the blocks need them.  ``kind`` must be text that ``csv.writer`` writes as is, without a NUL."""
+    as the blocks need them: a generator's large matrix is freed once written, before the next is built.
+    ``kind`` must be text that ``csv.writer`` writes as is, without a NUL."""
     if not isinstance(kind, str) or any(c in kind for c in ',"\r\n\0'):
         raise ConfigError(f"rn kind {kind!r} is not plain CSV text")
     kind_cell = np.frombuffer(kind.encode(), np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"t,i,j,value,kind\r\n")
-        # a block is rows of one matrix, or whole matrices of one shape, so small ones share its numpy calls
-        for (rows, cols), group in itertools.groupby(matrices, lambda pair: pair[1].shape):
-            index, per_block = _int_cells(max(rows, cols)), max(1, _BLOCK_ROWS // max(cols, 1))
-            while batch := list(itertools.islice(group, max(1, per_block // max(rows, 1)))):
-                t_cells = _g17(np.array([t for t, _ in batch]))[:, None, None]
-                for start in range(0, rows, per_block):
-                    block = _g17(np.stack([values[start:start + per_block] for _, values in batch]))
-                    _write_rows(fh, t_cells, index[start:start + block.shape[1], None], index[:cols], block, kind_cell)
+        batch = []  # whole matrices of one shape, written together while they fit in a block
+        for pair in matrices:
+            if batch and pair[1].shape != batch[0][1].shape:
+                _write_rn_batch(fh, batch, kind_cell)
+                batch = []
+            batch.append(pair)
+            del pair  # a written matrix is freed before the next one is built
+            rows, cols = batch[0][1].shape
+            if len(batch) >= _BLOCK_ROWS // max(cols, 1) // max(rows, 1):
+                _write_rn_batch(fh, batch, kind_cell)
+                batch = []
+        _write_rn_batch(fh, batch, kind_cell)
+
+
+def _write_rn_batch(fh, batch, kind_cell) -> None:
+    """Write ``(t, values)`` pairs of one shape, the same rows of each matrix in one block of at most
+    ``_BLOCK_ROWS`` rows (or one row of each), so that small matrices share a block's numpy calls."""
+    if not batch:
+        return
+    rows, cols = batch[0][1].shape
+    index, per_block = _int_cells(max(rows, cols)), max(1, _BLOCK_ROWS // max(cols, 1))
+    t_cells = _g17(np.array([t for t, _ in batch]))[:, None, None]
+    for start in range(0, rows, per_block):
+        block = _g17(np.stack([values[start:start + per_block] for _, values in batch]))
+        _write_rows(fh, t_cells, index[start:start + block.shape[1], None], index[:cols], block, kind_cell)
 
 
 def read_rn_csv(path) -> list[tuple[float, int, int, float, str]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "infected_derivative",
     "inflow",
     "integrate",
+    "integrate_blocks",
 ]
 
 # Fraction triples are renormalized when their sum drifts further than this.
@@ -69,27 +70,36 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
 
 def _components(adj: np.ndarray):
     """Yield the strongly connected components of the graph of positive entries,
-    each as an ascending array of nodes.
+    each as an ascending array of nodes, in no fixed order.
 
-    The lowest unplaced node's component is what it reaches among the unplaced
-    nodes that reach it, so the forward reach keeps to the backward one's result:
-    a node with no in-edge (``s_i = 0`` in an effective matrix) costs one level,
-    and each array operation advances a whole breadth-first level.  (scipy's
-    ``csgraph`` would add ~10 MiB of resident memory and ~30 ms to each start-up.)
+    Each round places every unplaced node with no in-edge from another unplaced
+    node (``s_i = 0`` in an effective matrix, say) in one array step, as a
+    component of its own: no cycle through another node reaches it.  Otherwise
+    the lowest unplaced node's component is what it reaches among the unplaced
+    nodes that reach it, so the forward reach keeps to the backward one's
+    result, and each array operation advances a whole breadth-first level.
+    (scipy's ``csgraph`` would add ~10 MiB of resident memory and ~30 ms to each
+    start-up.)
     """
     positive = adj > 0.0
-    placed = np.zeros(adj.shape[0], dtype=bool)
-    while not placed.all():
-        component = ~placed
-        # positive[i, j] means an edge j -> i; its transpose reverses every edge
-        for mat in (positive.T, positive):
-            reached = frontier = np.arange(placed.size) == np.argmin(placed)
-            while frontier.any():
-                frontier = mat[:, frontier].any(axis=1) & component & ~reached
-                reached |= frontier
-            component = reached
-        placed |= component
-        yield np.flatnonzero(component)
+    np.fill_diagonal(positive, False)  # a self-loop joins no two nodes
+    unplaced = np.ones(adj.shape[0], dtype=bool)
+    while unplaced.any():
+        placed = unplaced & ~positive[:, unplaced].any(axis=1)
+        if placed.any():
+            yield from np.flatnonzero(placed)[:, None]
+        else:
+            component = unplaced
+            # positive[i, j] means an edge j -> i; its transpose reverses every edge
+            for mat in (positive.T, positive):
+                reached = frontier = np.arange(unplaced.size) == np.argmax(unplaced)
+                while frontier.any():
+                    frontier = mat[:, frontier].any(axis=1) & component & ~reached
+                    reached |= frontier
+                component = reached
+            placed = component
+            yield np.flatnonzero(component)
+        unplaced &= ~placed
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,16 +328,43 @@ def integrate(
     drift exceeds 1e-12.  Non-finite values or negative components beyond
     round-off abort the run; the caller should reduce ``dt``.
 
-    Steps run in blocks of up to ``_STEP_BLOCK`` entries, each stage written
-    into preallocated buffers.  A block is stepped without clean-up, then
-    checked as a whole: its steps up to the first one that needs a clean-up
-    are kept, that step is cleaned up (or raises), and the next block starts
-    from it.  A clean block doubles the next one's length, from 1, and a
-    clean-up resets it, so at most twice the steps are computed.  Kept rows
-    are copied out of each block, so a kept row has the bits of
-    ``integrate(...)[::every]``'s, and memory grows with the rows kept, not
-    with ``steps``.
+    The rows are those of ``integrate_blocks``, collected: memory grows with
+    the rows kept, not with ``steps``.
     """
+    blocks = _kept_rows(net, state0, kind, dt, steps, every)
+    kept = steps // every + 1
+    times, fractions = np.empty(kept), np.empty((kept, 3, net.n))  # row k's (s, x, r), contiguous
+    row = 0
+    for t, block in blocks:
+        times[row : row + len(t)], fractions[row : row + len(t)] = t, block
+        row += len(t)
+    return Trajectory(times, *fractions.transpose(1, 0, 2), head=state0)
+
+
+def integrate_blocks(
+    net: TransmissionNetwork,
+    state0: EpidemicState,
+    kind: ModelKind,
+    dt: float,
+    steps: int,
+    every: int = 1,
+) -> Iterator[Trajectory]:
+    """The rows of ``integrate(...)``, bit for bit, as consecutive ``Trajectory`` blocks made
+    as the steps run: ``state0`` alone (its index 0 is ``state0``), then the rows each
+    block of steps keeps.  A caller that writes or reduces each block as it comes holds
+    one block, not the trajectory.  Arguments are checked, and a large ``dt`` warned of,
+    at the call.
+    """
+    blocks = _kept_rows(net, state0, kind, dt, steps, every)
+    return (
+        Trajectory(t.copy(), *rows.copy().transpose(1, 0, 2), head=None if k else state0)
+        for k, (t, rows) in enumerate(blocks)
+    )
+
+
+def _kept_rows(net, state0, kind, dt, steps, every):
+    """Check ``integrate``'s arguments, warn its caller of a large ``dt``, and return the
+    generator of the kept rows' ``(times, fractions)``."""
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     if steps < 0:
@@ -342,22 +379,31 @@ def integrate(
             f"dt={dt} is large for a max transmission row sum of {max_inflow:.3g}; "
             "the fixed-step integration may be inaccurate",
             StabilityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return _steps(net, state0, kind, dt, steps, every)
 
+
+def _steps(net, state0, kind, dt, steps, every):
+    """Yield views ``(times, fractions)``, ``(k,)`` and ``(k, 3, n)``, of the kept rows of each
+    block of steps, ``state0``'s first; a view is overwritten once the next is asked for.
+
+    Steps run in blocks of up to ``_STEP_BLOCK`` entries, each stage written
+    into preallocated buffers.  A block is stepped without clean-up, then
+    checked as a whole: its steps up to the first one that needs a clean-up
+    are kept, that step is cleaned up (or raises), and the next block starts
+    from it.  A clean block doubles the next one's length, from 1, and a
+    clean-up resets it, so at most twice the steps are computed.
+    """
     b, gamma, n, rhs = net.b, net.gamma, net.n, _rhs
     add, multiply = np.add, np.multiply
     half, sixth = 0.5 * dt, dt / 6.0
-    kept = steps // every + 1
-    times = np.empty(kept)
-    fractions = np.empty((kept, 3, n))  # kept step k's (s, x, r) at row k // every, contiguous
-    times[0] = state0.t
-    fractions[0] = state0.s, state0.x, state0.r
     # a step takes 3n entries of the block, n of its sums, its time and one entry per check reduction
     cap = max(1, _STEP_BLOCK // (4 * n + 2))
     block, clock = np.empty((cap + 1, 3, n)), np.empty(cap + 1)  # row j: step j of the block
     sums = np.empty((cap, n))  # the block's s + x + r, for its check
-    block[0], clock[0] = fractions[0], times[0]
+    block[0], clock[0] = (state0.s, state0.x, state0.r), state0.t
+    yield clock[:1], block[:1]
     # views made once: the per-step cost is the ~36 ufunc calls, not their arithmetic
     stages = np.empty((4, 3, n))
     k1, k2, k3, k4 = stages
@@ -370,7 +416,8 @@ def integrate(
         size = min(length, steps - done)
         t = float(clock[0])
         nxt = block[0]
-        # a step past one that fails its check is discarded, and may overflow
+        # a step past one that fails its check is discarded, and may overflow: its check
+        # may sum an inf and a -inf, and its NaN fails
         with np.errstate(all="ignore"):
             for j in range(1, size + 1):
                 prev, nxt = nxt, block[j]
@@ -387,20 +434,18 @@ def integrate(
                 add(prev, multiply(sixth, k1, k1), nxt)
                 t += dt
                 clock[j] = t
-        stepped = block[1 : size + 1]
-        clean = (stepped.min(axis=(1, 2)) >= 0.0) & (stepped.max(axis=(1, 2)) <= 1.0)  # NaN fails
-        drift = np.sum(stepped, axis=1, out=sums[:size])
-        drift -= 1.0
-        clean &= np.abs(drift, out=drift).max(axis=1) <= _DRIFT_TOL - _SUM_SLACK
+            stepped = block[1 : size + 1]
+            clean = (stepped.min(axis=(1, 2)) >= 0.0) & (stepped.max(axis=(1, 2)) <= 1.0)
+            drift = np.sum(stepped, axis=1, out=sums[:size])
+            drift -= 1.0
+            clean &= np.abs(drift, out=drift).max(axis=1) <= _DRIFT_TOL - _SUM_SLACK
         if clean.all():
             used, length = size, min(2 * length, cap)
         else:  # keep the steps before the first unclean one, and clean that one up
             used, length = int(clean.argmin()) + 1, 1
             _clean_up(block[used], float(clock[used]), dt)
-        first = -(-(done + 1) // every) * every  # the block's first kept step
-        rows = slice(first // every, (done + used) // every + 1)
-        fractions[rows] = block[first - done : used + 1 : every]
-        times[rows] = clock[first - done : used + 1 : every]
+        first = -(-(done + 1) // every) * every - done  # the block's first kept step, in the block
+        if first <= used:
+            yield clock[first : used + 1 : every], block[first : used + 1 : every]
         block[0], clock[0] = block[used], clock[used]
         done += used
-    return Trajectory(times, *fractions.transpose(1, 0, 2), head=state0)

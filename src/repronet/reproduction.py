@@ -240,16 +240,22 @@ def effective_rows(
     vector (only the requested rows' infections must be positive).
     """
     _check_positive_infection(x_f, rows)
-    values = (s_rows / gamma_rows)[:, None] * b_rows * x_f / x_f[rows][:, None]
+    # the operations of (s / gamma) b x_f / x_i, in place: the rows are the only array made
+    values = (s_rows / gamma_rows)[:, None] * b_rows
+    values *= x_f
+    values /= x_f[rows][:, None]
     if clamp is not None:
-        values = np.clip(values, clamp[0], clamp[1])
+        np.clip(values, clamp[0], clamp[1], out=values)
     return values
 
 
-# Most elements ``report_matrix`` gathers at once (32 MiB): a partition with
+# Most elements ``member_sums`` gathers at once (32 MiB): a partition with
 # one large cluster and many small ones would otherwise need rows * m * its
 # largest cluster size, which grows as n**3.
 _GATHER_BLOCK = 1 << 22
+# Entries of the effective rows in one block of ``report_matrix``, the size
+# rule of ``model._STEP_BLOCK`` and ``analysis._REPORT_BLOCK``.
+_ROW_BLOCK = 1 << 14
 
 
 def report_matrix(
@@ -266,10 +272,16 @@ def report_matrix(
     Entry (k, r) is ``gamma_i * x_i * sum_{j in cluster r} effective(i, j)``
     for ``i = rows[k]``.  The cluster sums are ``member_sums``, so an
     authority's single-row call gives the same bits as its row of the full
-    matrix.
+    matrix.  It runs over blocks of about ``_ROW_BLOCK`` effective values, each
+    row on its own, so no call holds an n-by-n temporary.
     """
-    effective = effective_rows(b_rows, gamma_rows, s_rows, x_f, rows, clamp)
-    return (gamma_rows * x_f[rows])[:, None] * member_sums(effective, partition)
+    reports = np.empty((len(rows), partition.m))
+    step = max(1, _ROW_BLOCK // max(1, len(x_f)))
+    for k in range(0, len(rows), step):
+        block = slice(k, k + step)
+        effective = effective_rows(b_rows[block], gamma_rows[block], s_rows[block], x_f, rows[block], clamp)
+        reports[block] = (gamma_rows[block] * x_f[rows[block]])[:, None] * member_sums(effective, partition)
+    return reports
 
 
 def member_sums(values: np.ndarray, partition: Partition) -> np.ndarray:
@@ -402,9 +414,9 @@ def build_matrix(
     else:
         values = net.b / net.gamma[:, None]
         if kind is MatrixKind.PSEUDO_EFFECTIVE:
-            values = state.s[:, None] * values
+            values *= state.s[:, None]  # in place: s * v has the bits of v * s
         if clamp is not None:
-            values = np.clip(values, clamp[0], clamp[1])
+            np.clip(values, clamp[0], clamp[1], out=values)
     return LocalRnMatrix(kind=kind, values=values, t=None if kind is MatrixKind.BASIC else state.t)
 
 

@@ -19,7 +19,7 @@ from repronet.analysis import (
     threshold_report,
     trichotomy_counts,
 )
-from repronet.exceptions import IntegrationError, RepronetError, UndefinedRatioError
+from repronet.exceptions import ConfigError, IntegrationError, RepronetError, UndefinedRatioError
 from repronet.privacy import TruncGaussParams
 from repronet.seeding import StreamRole, stream
 
@@ -391,6 +391,36 @@ def test_threshold_report_in_small_blocks_matches_whole_array_property(
     with mock.patch.object(analysis, "_REPORT_BLOCK", block):
         got = _outcome(threshold_report, *args)
     assert _report_bits(got) == _report_bits(want)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(list(rn.ModelKind)),
+    floor=st.sampled_from(["scalar", "zero", "vector"]),
+    steps=st.integers(0, 120),
+    dt=st.sampled_from([0.05, 0.5, 2.0]),
+    block=st.sampled_from([1, 5, 64, analysis._REPORT_BLOCK]),
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_streamed_threshold_report_matches_whole_array_property(seed, n, kind, floor, steps, dt, block):
+    # the integrator's blocks (1, 1, 2, 4, ... rows) are split and joined into report blocks
+    try:
+        net, trajectory, partition, floors = _report_instance(seed, n, kind, steps, dt)
+    except IntegrationError:  # dt too large for this network
+        return
+    args = (partition, kind, floors[floor])
+    want = _outcome(oracles.threshold_report_whole_array_reference, net, trajectory, *args)
+    with mock.patch.object(analysis, "_REPORT_BLOCK", block):
+        got = _outcome(threshold_report, net, rn.integrate_blocks(net, trajectory[0], kind, dt, steps), *args)
+    assert _report_bits(got) == _report_bits(want)
+
+
+def test_streamed_threshold_report_needs_a_row(rng):
+    net = make_network(rng, 3)
+    with pytest.raises(ConfigError, match="at least one state"):
+        threshold_report(net, iter([]), rn.Partition.whole(3))
 
 
 @pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")

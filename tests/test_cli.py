@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 import yaml
 
 import oracles
-from conftest import run_fresh
-from repronet import csvio
+from conftest import make_network, make_state, run_fresh
+from repronet import analysis, cli, csvio
 from repronet.cli import main
-from repronet.scenario import build_network, load_scenario
+from repronet.model import integrate
+from repronet.scenario import build_initial_state, build_network, build_partition, load_scenario
 
 SCALAR_SIS = """
 network:
@@ -274,6 +277,93 @@ output_dir: "%s"
         % (tmp_path / "out").as_posix()
     )
     assert main(["simulate", "--config", str(config)]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_failed_simulate_leaves_no_states_csv(tmp_path, capsys, monkeypatch):
+    # this one-node SIS run leaves [0, 1] at step 23, after blocks of 1, 2, 4 and 8 steps are written
+    gen = np.random.default_rng(11)
+    net = make_network(gen, 1)
+    b, gamma, x = float(net.b[0, 0]), float(net.gamma[0]), float(make_state(gen, 1).x[0])
+    config = tmp_path / "late_failure.yaml"
+    config.write_text(
+        f"network:\n  matrix: [[{b!r}]]\n  gamma: [{gamma!r}]\ninitial:\n  x: {x!r}\n"
+        f"model: sis\ndt: 50.0\nsteps: 40\noutput_dir: \"{(tmp_path / 'out').as_posix()}\"\n"
+    )
+    writes, write_rows = [], csvio._write_rows
+    monkeypatch.setattr(csvio, "_write_rows", lambda *args: writes.append(len(args)) or write_rows(*args))
+    assert main(["simulate", "--config", str(config)]) == 3
+    assert "beyond round-off at t=1150.0" in capsys.readouterr().err
+    assert len(writes) == 5  # state0 and four blocks of steps were written before the failure
+    assert not (tmp_path / "out" / "states.csv").exists()
+
+
+def _peak_after_set_up(monkeypatch, argv) -> int:
+    """``tracemalloc`` peak of a successful command after its set-up, over what set-up holds, in bytes."""
+    held = []
+
+    class Measured(cli._Context):
+        def __init__(self, args):
+            super().__init__(args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(cli, "_Context", Measured)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - held[0]
+
+
+RANDOM_SIR = """
+network:
+  random:
+    n: {n}
+    edge_density: 0.1
+    beta_range: [0.02, 0.2]
+    gamma_range: [0.2, 0.6]
+initial:
+  x: 0.01
+model: sir
+dt: 0.01
+steps: {steps}
+rn_interval: {interval}
+output_dir: "{{out}}"
+seed: 5
+"""
+
+
+def test_simulate_holds_a_block_not_the_trajectory(tmp_path, monkeypatch):
+    # states.csv is written as the steps run; holding the 2001 x 3 x 200 trajectory would take 9.6 MB
+    config = write_config(tmp_path, RANDOM_SIR.format(n=200, steps=2000, interval=1))
+    trajectory_bytes = 2001 * (3 * 200 + 1) * 8
+    assert _peak_after_set_up(monkeypatch, ["simulate", "--config", str(config)]) < trajectory_bytes / 4
+
+
+def test_compute_rn_holds_one_matrix(tmp_path, monkeypatch):
+    # each sampled epoch's 500 x 500 matrices are built in place and freed once written or reduced
+    config = write_config(tmp_path, RANDOM_SIR.format(n=500, steps=20, interval=10))
+    matrix_bytes = 500 * 500 * 8
+    assert _peak_after_set_up(monkeypatch, ["compute-rn", "--config", str(config)]) < 2 * matrix_bytes
+
+
+def test_streamed_report_writes_the_whole_trajectory_report(tmp_path, monkeypatch):
+    # report blocks of 5 rows: the integrator's blocks of 1, 1, 2, 4, 8, ... rows are split and joined
+    config = write_config(tmp_path, CLUSTERED)
+    monkeypatch.setattr(analysis, "_REPORT_BLOCK", 40)
+    assert main(["report", "--config", str(config)]) == 0
+    scenario = load_scenario(config)
+    net = build_network(scenario, tmp_path)
+    trajectory = integrate(net, build_initial_state(scenario, net), scenario.model_kind, scenario.dt, scenario.steps)
+    report = oracles.threshold_report_whole_array_reference(
+        net, trajectory, build_partition(scenario, net), scenario.model_kind, scenario.infection_floor
+    )
+    csvio.write_threshold_csvs(tmp_path / "nodes.csv", tmp_path / "clusters.csv", report)
+    for name, reference in (("threshold_nodes.csv", "nodes.csv"), ("threshold_clusters.csv", "clusters.csv")):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / reference).read_bytes()
 
 
 def test_calibration_infeasible_exit_code(tmp_path):

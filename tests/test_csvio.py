@@ -294,6 +294,14 @@ def test_g17_fast_path_equals_percent_format_property(values):
     assert_g17_is_percent_format(values)
 
 
+def test_g17_writes_exact_zeros_and_sends_the_rest_to_percent():
+    values = [0.0, -0.0, 5e-324, 1e-300, 9.99e-5, 0.0, 1e-4, 1.0]
+    assert_g17_is_percent_format(values)
+    v = np.array(values)
+    assert csvio._zero(v).tolist() == [True, False, False, False, False, True, False, False]
+    assert csvio._g17(v)[0].tobytes() == b"0" + b"\0" * (csvio._CELL - 1)
+
+
 def test_g17_next_to_powers_of_ten():
     values = []
     for k in range(7):

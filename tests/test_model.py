@@ -88,7 +88,8 @@ def test_network_validation():
 def test_strong_connectivity_check_matches_oracle_property(seed, n, density):
     rng = np.random.default_rng(seed)
     b = np.where(rng.random((n, n)) < density, 0.2, 0.0)
-    assert [c.tolist() for c in model._components(b)] == oracles.components_reference(b)
+    # the components come out in no fixed order; the reference lists them by lowest node
+    assert sorted(c.tolist() for c in model._components(b)) == oracles.components_reference(b)
     if oracles.strongly_connected(b):
         rn.TransmissionNetwork(b=b, gamma=np.full(n, 0.5))
     else:
@@ -323,3 +324,94 @@ def test_sampled_integration_rejects_bad_every(rng, every):
     net = make_network(rng, 3)
     with pytest.raises(ConfigError, match="every must be >= 1"):
         rn.integrate(net, make_state(rng, 3), rn.ModelKind.SIS, 0.1, 10, every=every)
+
+
+def _joined_blocks(net, state, kind, dt, steps, every=1):
+    """``integrate_blocks``' rows joined into one ``Trajectory``, after checking its first block
+    is ``state`` alone; or the error it raises, as ``_outcome`` gives it."""
+    try:
+        blocks = list(rn.integrate_blocks(net, state, kind, dt, steps, every=every))
+    except (ConfigError, IntegrationError) as exc:
+        return type(exc), str(exc)
+    assert len(blocks[0]) == 1 and blocks[0][0] is state
+    assert all(isinstance(block, rn.Trajectory) and len(block) for block in blocks)
+    return rn.Trajectory(*(np.concatenate([getattr(b, name) for b in blocks]) for name in "tsxr"))
+
+
+def _assert_same_rows(got, want):
+    if not isinstance(want, rn.Trajectory):
+        assert got == want
+        return
+    for name in "tsxr":
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the examples of the sampled-integration property: clean-ups and failures at block edges
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    kind=st.sampled_from(list(rn.ModelKind)),
+    steps=st.integers(0, 64),
+    dt=st.sampled_from([0.05, 0.5, 2.0, 10.0, 50.0]),
+    drift=st.booleans(),
+    every=st.integers(1, 70),
+)
+@example(seed=247, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, every=1)
+@example(seed=5, n=6, kind=rn.ModelKind.SIR, steps=12, dt=0.5, drift=True, every=5)
+@example(seed=160, n=1, kind=rn.ModelKind.SIS, steps=63, dt=20.0, drift=False, every=3)
+@example(seed=76, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, every=1)
+@example(seed=31, n=2, kind=rn.ModelKind.SIR, steps=60, dt=10.0, drift=False, every=7)
+@example(seed=11, n=1, kind=rn.ModelKind.SIS, steps=40, dt=50.0, drift=False, every=2)
+@example(seed=800, n=4, kind=rn.ModelKind.SIS, steps=7, dt=10.0, drift=False, every=1)  # check sums inf - inf
+@settings(max_examples=80)
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_joined_blocks_equal_integrate_property(seed, n, kind, steps, dt, drift, every):
+    net, state = _instance(seed, n, kind)
+    if drift:
+        state = rn.EpidemicState(t=0.0, s=state.s - 5e-10, x=state.x, r=state.r)
+    want = _outcome(rn.integrate, net, state, kind, dt, steps, every=every)
+    _assert_same_rows(_joined_blocks(net, state, kind, dt, steps, every), want)
+
+
+@pytest.mark.filterwarnings("ignore::repronet.model.StabilityWarning")
+def test_joined_blocks_equal_integrate_across_clean_ups():
+    # the single-node SIR step that lands s at -4.0e-10 (clamped), and a drifted sum (renormalized)
+    clamped = (scalar_net(beta=1.0, gamma=1.0), rn.EpidemicState(t=0.0, s=[0.5], x=[0.5]), 3.746105171976)
+    x = np.array([0.1, 0.2, 0.05])
+    net = make_network(np.random.default_rng(3), 3)
+    drifted = (net, rn.EpidemicState(t=0.0, s=1.0 - x - 5e-10, x=x), 0.01)
+    for net, state, dt in (clamped, drifted):
+        for kind in rn.ModelKind:
+            for steps, every in ((1, 1), (2, 1), (40, 1), (40, 3), (40, 41)):
+                want = _outcome(rn.integrate, net, state, kind, dt, steps, every=every)
+                _assert_same_rows(_joined_blocks(net, state, kind, dt, steps, every), want)
+    assert rn.integrate(*clamped[:2], rn.ModelKind.SIR, clamped[2], 1).s[1, 0] == 0.0
+
+
+def test_integrate_blocks_checks_its_arguments_at_the_call(rng):
+    net, state = make_network(rng, 3), make_state(rng, 3)
+    with pytest.raises(ConfigError, match="dt must be positive"):
+        rn.integrate_blocks(net, state, rn.ModelKind.SIS, 0.0, 10)
+    with pytest.raises(ConfigError, match="every must be >= 1"):
+        rn.integrate_blocks(net, state, rn.ModelKind.SIS, 0.1, 10, every=0)
+    with pytest.warns(StabilityWarning) as caught:
+        rn.integrate_blocks(net, state, rn.ModelKind.SIS, 50.0, 10)
+    assert caught[0].filename == __file__  # the caller's line, as integrate's warning names it
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), density=st.floats(0.0, 0.6),
+       zero_rows=st.integers(0, 12), loops=st.booleans())
+@settings(max_examples=80)
+def test_components_match_scipy_property(seed, n, density, zero_rows, loops):
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(seed)
+    b = np.where(rng.random((n, n)) < density, 0.2, 0.0)
+    b[:zero_rows] = 0.0  # s = 0 rows: nodes without in-edges
+    np.fill_diagonal(b, 0.2 if loops else 0.0)
+    count, labels = connected_components(b > 0.0, directed=True, connection="strong")
+    want = sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
+    got = [c.tolist() for c in model._components(b)]
+    assert all(c == sorted(c) for c in got)
+    assert sorted(got) == want
