@@ -25,6 +25,9 @@ offset's ``delta_c`` evaluations, as the bisection evaluates its CDF values one
 by one and the sampler calls ``ndtr`` only where no bound decides its branch.
 ``rmse_sweep_ms`` times ``analysis.rmse_sweep`` over ``epsilon0`` in {1, 2, 3}
 with 50 trials on the states after 0, 100 and 200 steps, its calibrations cached.
+``private_moments_ms`` times one ``analysis.private_moments`` call at the state, the
+closed-form mean and variance of every private cluster entry at ``epsilon0 = 1``, its
+calibrations cached.
 ``spectral_radius_ms`` times ``spectral_radius`` on the pseudo-effective matrix
 at the state, and ``spectral_radius_reducible_ms`` on the same matrix with the
 edges from the second half of the nodes into the first removed: the halves are
@@ -186,6 +189,7 @@ def layers(n: int, scratch: Path) -> dict:
                 net, trajectory[::RMSE_EVERY], partition, RMSE_EPS, RMSE_TRIALS, 0, clamp=CLAMP
             )
         ) * 1e3,
+        "private_moments_ms": best(lambda: analysis.private_moments(net, state, partition, spec, clamp=CLAMP)) * 1e3,
     }
 
 

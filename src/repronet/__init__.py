@@ -10,8 +10,7 @@ analysis.
 from .analysis import (
     AccuracyReport,
     ThresholdReport,
-    monte_carlo_entry_stats,
-    private_entry_moments,
+    private_moments,
     rmse_sweep,
     threshold_report,
     trichotomy_counts,

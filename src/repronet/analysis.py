@@ -4,11 +4,13 @@ The assembled private cluster entry is a weighted sum of independent
 truncated-Gaussian draws (zero entries pass through unchanged), so its
 moments follow by linearity from the closed-form single-draw moments:
 
-    mean(q, r) = sum_k E[draw_k] / sum_k gamma_k x_k
-    var(q, r)  = sum_k Var[draw_k] / (sum_k gamma_k x_k)^2
+    mean(q, r) = sum_k E[draw_k] / sum_k gamma_k x_k^f
+    var(q, r)  = sum_k Var[draw_k] / (sum_k gamma_k x_k^f)^2
 
-with k ranging over cluster q's members and a zero entry contributing zero
-mean and zero variance.  The RMSE harness runs many private pipeline
+with k ranging over cluster q's members, ``x^f`` the floored infections and
+a zero entry contributing zero mean and zero variance.  ``private_moments``
+computes both for every entry in arrays, ``(m, m)`` at a state and
+``(T, m, m)`` along a trajectory.  The RMSE harness runs many private pipeline
 trials per state over a privacy-level grid and reports per-entry and
 aggregate errors; the percentage error is RMSE over the mean magnitude of
 the exact entries.  Its trials are the pipeline's own array steps
@@ -34,13 +36,9 @@ from .model import (
     _check_size,
     infected_derivative,
 )
-from .privacy import (
-    PrivacySpec,
-    TruncGaussParams,
-    trunc_gauss_moments,
-    trunc_gauss_sample,
-)
-from .protocol import private_reports, run_pipeline  # noqa: F401  (run_pipeline: see below)
+from .privacy import PrivacySpec, _trunc_gauss_moments
+from .protocol import _check_sizes, _noise_scales, _reject, private_reports
+from .protocol import run_pipeline  # noqa: F401  (see below)
 from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector: see below)
     DEFAULT_INFECTION_FLOOR,
     ClusterRnMatrix,
@@ -53,6 +51,7 @@ from .reproduction import (  # noqa: F401  (cluster_matrix, cern_vector: see bel
     cluster_weight_sums,
     floored_infections,
     lern_vector,
+    member_sums,
     report_matrix,
 )
 from .seeding import StreamRole, stream_words
@@ -68,9 +67,7 @@ __all__ = [
     "NodeThreshold",
     "ClusterThreshold",
     "ThresholdReport",
-    "entry_noise_params",
-    "private_entry_moments",
-    "monte_carlo_entry_stats",
+    "private_moments",
     "rmse_sweep",
     "trichotomy_counts",
     "threshold_report",
@@ -119,89 +116,43 @@ class AccuracyReport:
         raise KeyError(f"no summary for eps={eps}")
 
 
-def entry_noise_params(
+def _exact_reports(net, state, partition, floor, clamp) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each state's exact ``(n, m)`` reports and cluster weights, one state at a time, at a
+    state or along a ``Trajectory``."""
+    for s, x in zip(np.atleast_2d(state.s), np.atleast_2d(state.x)):
+        x_f = floored_infections(x, floor)
+        reports = report_matrix(net.b, net.gamma, s, x_f, np.arange(net.n), partition, clamp)
+        yield reports, cluster_weight_sums(net.gamma, x_f, partition)
+
+
+def private_moments(
     net: TransmissionNetwork,
-    state: EpidemicState,
+    state: EpidemicState | Trajectory,
     partition: Partition,
     spec: PrivacySpec,
-    q: int,
-    r: int,
     floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
     clamp: tuple[float, float] | None = None,
-) -> list[TruncGaussParams | None]:
-    """Noise parameters seen by entry (q, r): one per member of cluster q.
-
-    ``None`` marks a member whose report entry is exactly zero (the
-    randomizer passes it through unchanged).  Each member's sigma comes from
-    its own calibration, driven by its own report support pattern.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (mean, variance) of every private cluster entry of ``run_pipeline``,
+    ``(m, m)`` arrays at a state or ``(T, m, m)`` along a ``Trajectory``: the module
+    docstring's sums of ``privacy._trunc_gauss_moments`` over each state's exact reports
+    (``_exact_reports``) at the noise scales of ``private_reports`` (``_noise_scales``).
+    An input that ``run_pipeline`` rejects before it draws noise raises its error, the first
+    failing state's; a box under ``privacy._MIN_MOMENT_WIDTH`` noise scales wide raises
+    ``DegenerateTruncationError``.
     """
-    _check_size(net, state)
-    members = partition.members(q)
-    x_f = floored_infections(state.x, floor)
-    reports = report_matrix(
-        net.b[members], net.gamma[members], state.s[members], x_f, members, partition, clamp
-    )
-    params: list[TruncGaussParams | None] = [None] * len(reports)
-    for k, zeta in enumerate(reports):
-        if zeta[r] != 0.0:
-            mech = spec.calibrate(zeta > 0.0)
-            params[k] = TruncGaussParams(float(zeta[r]), mech.sigma, mech.lower[r], mech.upper[r])
-    return params
-
-
-def _entry_denominator(partition, q, gamma, x, member_params, floor) -> float:
-    """Cluster q's weight, once ``member_params`` is checked to cover its members."""
-    size = partition.members(q).size
-    if len(member_params) != size:
-        raise ConfigError(
-            f"expected {size} parameter entries for cluster {q}, got {len(member_params)}"
-        )
-    x_f = floored_infections(np.asarray(x, dtype=float), floor)
-    return float(cluster_weight_sums(gamma, x_f, partition)[q])
-
-
-def private_entry_moments(
-    partition: Partition,
-    q: int,
-    gamma: np.ndarray,
-    x: np.ndarray,
-    member_params: list[TruncGaussParams | None],
-    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
-) -> tuple[float, float]:
-    """Closed-form (mean, variance) of one assembled private cluster entry.
-
-    ``member_params`` aligns with ``partition.members(q)`` in ascending
-    order and describes the truncated-Gaussian draw of each member's report
-    entry for the target cluster (``None`` for exact zeros).
-    """
-    denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
-    moments = [trunc_gauss_moments(params) for params in member_params if params is not None]
-    mean_sum = sum((mean for mean, _ in moments), 0.0)
-    var_sum = sum((var for _, var in moments), 0.0)
-    return mean_sum / denom, var_sum / denom**2
-
-
-def monte_carlo_entry_stats(
-    partition: Partition,
-    q: int,
-    gamma: np.ndarray,
-    x: np.ndarray,
-    member_params: list[TruncGaussParams | None],
-    trials: int,
-    rng: np.random.Generator,
-    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
-) -> tuple[float, float]:
-    """Empirical (mean, variance) of the same assembled entry.
-
-    Vectorized simulation of the randomize-and-aggregate stages: each
-    member's entry is drawn ``trials`` times and the per-trial sums are
-    divided by the cluster weight.  Shuffling never changes the aggregate,
-    so this matches the distribution of the full pipeline's entry.
-    """
-    denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
-    draws = (trunc_gauss_sample(p, rng, size=trials) for p in member_params if p is not None)
-    values = sum(draws, np.zeros(trials)) / denom
-    return float(np.mean(values)), float(np.var(values, ddof=1))
+    _check_sizes(net, state, partition)
+    mean, var = np.zeros((2, len(np.atleast_2d(state.s)), partition.m, partition.m))
+    for k, (reports, weights) in enumerate(_exact_reports(net, state, partition, floor, clamp)):
+        sigma, failed = _noise_scales(reports, spec)
+        _reject(reports, spec, failed)
+        positive = reports > 0.0
+        moments = np.zeros((2,) + reports.shape)  # each report entry's (mean, variance); a zero stays 0
+        sigmas = np.broadcast_to(sigma[:, None], reports.shape)
+        moments[:, positive] = _trunc_gauss_moments(reports[positive], sigmas[positive], *spec.bounds)
+        sums = np.swapaxes(member_sums(np.swapaxes(moments, 1, 2), partition), 1, 2)  # (2, m, m)
+        mean[k], var[k] = sums[0] / weights[:, None], sums[1] / weights[:, None] ** 2
+    return (mean, var) if isinstance(state, Trajectory) else (mean[0], var[0])
 
 
 def rmse_sweep(
@@ -244,11 +195,7 @@ def rmse_sweep(
     report = AccuracyReport(eps_grid=tuple(float(e) for e in eps_grid))
 
     trajectory = Trajectory.from_states(trajectory)
-    epochs = []  # (exact reports, cluster weights) per state
-    for s, x in zip(trajectory.s, trajectory.x):
-        x_f = floored_infections(x, floor)
-        reports = report_matrix(net.b, net.gamma, s, x_f, np.arange(net.n), partition, clamp)
-        epochs.append((reports, cluster_weight_sums(net.gamma, x_f, partition)))
+    epochs = list(_exact_reports(net, trajectory, partition, floor, clamp))
     exact = np.stack(
         [ClusterRnMatrix(assemble_clusters(r, w, partition)).values for r, w in epochs]
     )

@@ -248,6 +248,11 @@ class LocalAuthority:
         return Report(vector=LocalAggVector(entries=entries, t=message.t, authority_id=self.ident))
 
 
+def _check_sizes(net: TransmissionNetwork, state: EpidemicState | Trajectory, partition: Partition) -> None:
+    if state.n != net.n or partition.n != net.n:
+        raise ConfigError("network, state, and partition sizes must agree")
+
+
 def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -> np.ndarray:
     """Every authority's randomized report in every trial, ``(trials,) + reports.shape``:
     row i of the exact ``(n, m)`` reports, or of each epoch's in an ``(epochs, n, m)``
@@ -255,11 +260,11 @@ def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -
     with ``words[..., i, t, :]`` (``seeding.stream_words``).
 
     The rows are grouped by their count of positive entries, which alone sets the noise
-    scale: each group is calibrated once (through ``spec.calibrate`` of its first report's
-    pattern) and checked in arrays.  Every row is then sampled, at its group's scale, in one
-    ``_sample_box_truncated`` call from one ``StreamBank`` of all their streams, so no
-    generator is built.  Every row gets the bits, and a failing input the error,
-    of a ``bounded_gaussian_randomize`` call per authority in order, epoch by epoch: the
+    scale: each group is calibrated once and checked in arrays (``_noise_scales``).  Every
+    row is then sampled, at its group's scale, in one ``_sample_box_truncated`` call from
+    one ``StreamBank`` of all their streams, so no generator is built.  Every row gets the
+    bits, and a failing input the error, of a ``bounded_gaussian_randomize`` call per
+    authority in order, epoch by epoch: the
     first failing authority raises, its calibration checked before its values, unless an
     earlier epoch drew a value below zero (a box reaching below it), which fails the report
     check.  An all-zero report passes through unchanged, as there is nothing to calibrate.
@@ -269,37 +274,49 @@ def private_reports(reports: np.ndarray, spec: PrivacySpec, words: np.ndarray) -
     words = words.reshape(len(flat), trials, 4)
     out = np.empty((trials,) + flat.shape)
     out[:] = flat
-    positive = flat > 0.0
-    counts = np.count_nonzero(positive, axis=1)
-    sigmas, failed = {}, np.zeros(len(flat), dtype=bool)
-    for d in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():  # each count that occurs, zero aside
-        group = counts == d
-        try:
-            sigmas[d] = spec.calibrate(positive[np.argmax(group)]).sigma
-        except CalibrationInfeasibleError:
-            failed |= group
-    lower, upper = spec.bounds
-    outside = positive & ((flat <= lower) | (flat > upper))
-    failed |= (counts > 0) & np.any((flat < 0.0) | outside, axis=1)
+    sigma, failed = _noise_scales(flat, spec)
     end = len(flat)  # the rows of the epochs before the first that fails its checks
     if failed.any():
         first = int(np.argmax(failed))
         end = first - first % reports.shape[-2]
 
-    group = np.flatnonzero(counts[:end])  # every row with a positive entry has a sigma here
+    positive = flat > 0.0
+    group = np.flatnonzero(positive[:end].any(axis=1))  # each of these rows has a sigma
     if group.size:
-        sigma = np.zeros(m + 1)
-        sigma[list(sigmas)] = list(sigmas.values())
         drawn = _sample_box_truncated(
-            flat[group], sigma[counts[group], None], lower, upper,
+            flat[group], sigma[group, None], *spec.bounds,
             StreamBank(words[group].reshape(-1, 4)), positive[group],
         )
         out[:, group] = drawn.reshape(group.size, trials, m).transpose(1, 0, 2)
     if np.any(out[:, :end] < 0.0):
         raise ConfigError("report entries must be finite and >= 0")
-    for i in np.flatnonzero(failed):  # raises at the first, as its one-row call would
-        _box_values(flat[i], spec.calibrate(positive[i]))
+    _reject(flat, spec, failed)
     return out.reshape((trials,) + reports.shape)
+
+
+def _noise_scales(reports: np.ndarray, spec: PrivacySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each report row's noise scale (0 without a positive entry), calibrated once per count of
+    positive entries through ``spec.calibrate`` of its first row's pattern, and which rows
+    fail the randomizer's checks (``_reject`` raises their error)."""
+    positive = reports > 0.0
+    counts = np.count_nonzero(positive, axis=1)
+    sigma, failed = np.zeros(len(reports)), np.zeros(len(reports), dtype=bool)
+    for d in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():  # each count that occurs, zero aside
+        group = counts == d
+        try:
+            sigma[group] = spec.calibrate(positive[np.argmax(group)]).sigma
+        except CalibrationInfeasibleError:
+            failed |= group
+    lower, upper = spec.bounds
+    outside = positive & ((reports <= lower) | (reports > upper))
+    failed |= (counts > 0) & np.any((reports < 0.0) | outside, axis=1)
+    return sigma, failed
+
+
+def _reject(reports: np.ndarray, spec: PrivacySpec, failed: np.ndarray) -> None:
+    """Raise the error of the first ``failed`` row's ``bounded_gaussian_randomize`` call."""
+    for i in np.flatnonzero(failed):  # raises at the first, as its one-row call would
+        _box_values(reports[i], spec.calibrate(reports[i] > 0.0))
 
 
 def _record(sink: IO[str], step: int, sender: str, receiver: str, message) -> None:
@@ -355,8 +372,7 @@ def run_pipeline(
     stacked = isinstance(state, Trajectory)
     times, s_rows, x_rows = (state.t, state.s, state.x) if stacked else ([state.t], [state.s], [state.x])
     epochs = list(epoch) if stacked else [epoch]
-    if state.n != net.n or partition.n != net.n:
-        raise ConfigError("network, state, and partition sizes must agree")
+    _check_sizes(net, state, partition)
     if len(epochs) != len(times):
         raise ConfigError(f"expected one epoch per state, got {len(epochs)} for {len(times)} states")
     private = spec is not None

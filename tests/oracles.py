@@ -22,6 +22,13 @@ center) with its own message checks; its matrix and trace are the ones
 ``protocol.run_pipeline`` must reproduce byte for byte.
 ``calibrate_sigma_reference`` is the calibration from when every bisection
 step evaluated ``sigma_inequality_holds`` on the array of active widths.
+The per-entry accuracy functions from before ``analysis.private_moments``
+are the references it must reproduce: ``entry_noise_params`` (one
+``TruncGaussParams`` per member of a cluster, each member's pattern
+calibrated on its own), ``private_entry_moments`` (one entry's closed-form
+mean and variance) and ``monte_carlo_entry_stats`` (the same entry's
+moments over ``trunc_gauss_sample`` draws), with their list check
+``_entry_denominator``.
 """
 
 import csv
@@ -54,6 +61,7 @@ from repronet.csvio import _data_rows, _parse_float
 from repronet.model import (
     _DRIFT_TOL,
     _NEGATIVE_TOL,
+    _check_size,
     EpidemicState,
     ModelKind,
     StabilityWarning,
@@ -64,9 +72,12 @@ from repronet.model import (
 )
 from repronet.privacy import (
     PrivacySpec,
+    TruncGaussParams,
     bounded_gaussian_randomize,
     shuffle,
     sigma_inequality_holds,
+    trunc_gauss_moments,
+    trunc_gauss_sample,
     worst_case_offset,
 )
 from repronet.protocol import (
@@ -206,6 +217,20 @@ def truncated_moments_by_quadrature(mu, sigma, lower, upper):
     mean, _ = scipy_integrate.quad(lambda z: z * density(z), lower, upper)
     second, _ = scipy_integrate.quad(lambda z: z * z * density(z), lower, upper)
     return total, mean, second - mean * mean
+
+
+def truncated_central_moments_by_quadrature(mu, sigma, lower, upper):
+    """Mean and variance by integration over the window's share ``u`` in [0, 1], so neither
+    the mean nor the central second moment cancels on a narrow window."""
+    a, width = (lower - mu) / sigma, (upper - lower) / sigma
+
+    def moment(f):
+        return scipy_integrate.quad(lambda u: f(u) * normal_pdf(a + width * u), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+
+    mass = moment(lambda u: 1.0)
+    share = moment(lambda u: u) / mass
+    spread = moment(lambda u: (u - share) ** 2) / mass
+    return mu + sigma * (a + width * share), (sigma * width) ** 2 * spread
 
 
 def amplified_epsilon(epsilon0, delta, cluster_size):
@@ -1070,3 +1095,88 @@ def run_pipeline_reference(
     final = center.flush()
     _record_reference(trace, 7, "data_center", "central_authority", final)
     return final.matrix
+
+
+def entry_noise_params(
+    net: TransmissionNetwork,
+    state: EpidemicState,
+    partition: Partition,
+    spec: PrivacySpec,
+    q: int,
+    r: int,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+    clamp: tuple[float, float] | None = None,
+) -> list[TruncGaussParams | None]:
+    """Noise parameters seen by entry (q, r): one per member of cluster q.
+
+    ``None`` marks a member whose report entry is exactly zero (the
+    randomizer passes it through unchanged).  Each member's sigma comes from
+    its own calibration, driven by its own report support pattern.
+    """
+    _check_size(net, state)
+    members = partition.members(q)
+    x_f = floored_infections(state.x, floor)
+    reports = report_matrix(
+        net.b[members], net.gamma[members], state.s[members], x_f, members, partition, clamp
+    )
+    params: list[TruncGaussParams | None] = [None] * len(reports)
+    for k, zeta in enumerate(reports):
+        if zeta[r] != 0.0:
+            mech = spec.calibrate(zeta > 0.0)
+            params[k] = TruncGaussParams(float(zeta[r]), mech.sigma, mech.lower[r], mech.upper[r])
+    return params
+
+
+def _entry_denominator(partition, q, gamma, x, member_params, floor) -> float:
+    """Cluster q's weight, once ``member_params`` is checked to cover its members."""
+    size = partition.members(q).size
+    if len(member_params) != size:
+        raise ConfigError(
+            f"expected {size} parameter entries for cluster {q}, got {len(member_params)}"
+        )
+    x_f = floored_infections(np.asarray(x, dtype=float), floor)
+    return float(cluster_weight_sums(gamma, x_f, partition)[q])
+
+
+def private_entry_moments(
+    partition: Partition,
+    q: int,
+    gamma: np.ndarray,
+    x: np.ndarray,
+    member_params: list[TruncGaussParams | None],
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+) -> tuple[float, float]:
+    """Closed-form (mean, variance) of one assembled private cluster entry.
+
+    ``member_params`` aligns with ``partition.members(q)`` in ascending
+    order and describes the truncated-Gaussian draw of each member's report
+    entry for the target cluster (``None`` for exact zeros).
+    """
+    denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
+    moments = [trunc_gauss_moments(params) for params in member_params if params is not None]
+    mean_sum = sum((mean for mean, _ in moments), 0.0)
+    var_sum = sum((var for _, var in moments), 0.0)
+    return mean_sum / denom, var_sum / denom**2
+
+
+def monte_carlo_entry_stats(
+    partition: Partition,
+    q: int,
+    gamma: np.ndarray,
+    x: np.ndarray,
+    member_params: list[TruncGaussParams | None],
+    trials: int,
+    rng: np.random.Generator,
+    floor: float | np.ndarray = DEFAULT_INFECTION_FLOOR,
+) -> tuple[float, float]:
+    """Empirical (mean, variance) of the same assembled entry.
+
+    Vectorized simulation of the randomize-and-aggregate stages: each
+    member's entry is drawn ``trials`` times and the per-trial sums are
+    divided by the cluster weight.  Shuffling never changes the aggregate,
+    so this matches the distribution of the full pipeline's entry.
+    """
+    denom = _entry_denominator(partition, q, gamma, x, member_params, floor)
+    draws = (trunc_gauss_sample(p, rng, size=trials) for p in member_params if p is not None)
+    values = sum(draws, np.zeros(trials)) / denom
+    return float(np.mean(values)), float(np.var(values, ddof=1))

@@ -15,13 +15,7 @@ from scipy import stats
 import oracles
 import repronet as rn
 from conftest import make_network, make_state
-from repronet.analysis import (
-    entry_noise_params,
-    monte_carlo_entry_stats,
-    private_entry_moments,
-    rmse_sweep,
-    trichotomy_counts,
-)
+from repronet.analysis import private_moments, rmse_sweep, trichotomy_counts
 from repronet.privacy import (
     PrivacySpec,
     TruncGaussParams,
@@ -287,17 +281,17 @@ def test_criterion_7_privacy_utility_sweep():
     pct = {eps: 100.0 * rmse[eps] / scale for eps in eps_grid}
 
     # analytic moments versus a 1e6-run Monte Carlo of the randomize+aggregate
-    # stages (the shuffle never changes the aggregate)
+    # stages (the shuffle never changes the aggregate), through the per-entry oracle
     spec = PrivacySpec(epsilon0=1.0, delta=0.01, k=1e-5, bounds=(0.0, 14.0))
     state = states[0]
-    params = entry_noise_params(net, state, partition, spec, 0, 1, clamp=(0.0, 14.0))
-    mean, var = private_entry_moments(partition, 0, net.gamma, state.x, params)
+    mean, var = private_moments(net, state, partition, spec, clamp=(0.0, 14.0))
+    params = oracles.entry_noise_params(net, state, partition, spec, 0, 1, clamp=(0.0, 14.0))
     rng = stream(717, StreamRole.ANALYSIS)
-    mc_mean, mc_var = monte_carlo_entry_stats(
+    mc_mean, mc_var = oracles.monte_carlo_entry_stats(
         partition, 0, net.gamma, state.x, params, 1_000_000, rng
     )
-    assert mc_mean == pytest.approx(mean, rel=0.02)
-    assert mc_var == pytest.approx(var, rel=0.02)
+    assert mc_mean == pytest.approx(mean[0, 1], rel=0.02)
+    assert mc_var == pytest.approx(var[0, 1], rel=0.02)
 
     elapsed = time.time() - started
     assert elapsed < 300.0

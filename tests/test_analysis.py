@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 from unittest import mock
 
@@ -12,82 +13,199 @@ import repronet as rn
 from conftest import make_network, make_state
 from repronet import analysis
 from repronet.analysis import (
-    entry_noise_params,
-    monte_carlo_entry_stats,
-    private_entry_moments,
+    private_moments,
     rmse_sweep,
     threshold_report,
     trichotomy_counts,
 )
-from repronet.exceptions import ConfigError, IntegrationError, RepronetError, UndefinedRatioError
-from repronet.privacy import TruncGaussParams
+from repronet.exceptions import (
+    CalibrationInfeasibleError,
+    ConfigError,
+    IntegrationError,
+    PrivacyBoundsError,
+    RepronetError,
+    UndefinedRatioError,
+)
 from repronet.seeding import StreamRole, stream
 
 
-def three_member_params(sigma=0.5):
-    # cluster of three authorities with entry values 2, 0 (absent edge), 5
-    return [
-        TruncGaussParams(mu=2.0, sigma=sigma, lower=0.0, upper=14.0),
-        None,
-        TruncGaussParams(mu=5.0, sigma=sigma, lower=0.0, upper=14.0),
-    ]
-
-
-def three_member_instance():
-    partition = rn.Partition.from_blocks([[0, 1, 2]], n=3)
-    gamma = np.array([0.2, 0.25, 0.3])
-    x = np.array([0.1, 0.05, 0.2])
-    return partition, gamma, x
+def moments_instance():
+    """Two clusters of three, where only authority 2 has an edge from the first into the
+    second and its ``s = 0`` makes its report all zero, so entry (0, 1) is exactly zero."""
+    gen = np.random.default_rng(7)
+    net = make_network(gen, 6)
+    b = net.b.copy()
+    b[:2, 3:] = 0.0
+    x = gen.uniform(0.05, 0.2, 6)
+    s = 1.0 - x
+    s[2] = 0.0
+    state = rn.EpidemicState(t=0.0, s=s, x=x, r=1.0 - x - s)
+    partition = rn.Partition.from_blocks([[0, 1, 2], [3, 4, 5]])
+    return rn.TransmissionNetwork(b=b, gamma=net.gamma), state, partition
 
 
 def test_moments_degenerate_noise_recovers_exact():
-    partition, gamma, x = three_member_instance()
-    params = three_member_params(sigma=1e-9)
-    mean, var = private_entry_moments(partition, 0, gamma, x, params)
-    denom = float(np.sum(gamma * x))
-    assert mean == pytest.approx(7.0 / denom, rel=1e-6)
-    assert var == pytest.approx(0.0, abs=1e-12)
+    net, state, partition = moments_instance()
+    mean, var = private_moments(net, state, partition, rn.PrivacySpec(epsilon0=1e6, k=1e-12))
+    assert mean == pytest.approx(rn.cluster_matrix(net, state, partition).values, rel=1e-6)
+    assert np.all(var < 1e-12)
 
 
 def test_moments_all_zero_members():
-    partition, gamma, x = three_member_instance()
-    mean, var = private_entry_moments(partition, 0, gamma, x, [None, None, None])
-    assert mean == 0.0 and var == 0.0
+    net, state, partition = moments_instance()
+    mean, var = private_moments(net, state, partition, rn.PrivacySpec(epsilon0=1.0, k=1e-3))
+    assert mean[0, 1] == 0.0 and var[0, 1] == 0.0
+    live = [(0, 0), (1, 0), (1, 1)]
+    assert all(mean[e] > 0.0 and var[e] > 0.0 for e in live)
 
 
 def test_moments_against_vectorized_monte_carlo():
-    partition, gamma, x = three_member_instance()
-    params = three_member_params()
-    mean, var = private_entry_moments(partition, 0, gamma, x, params)
+    """The closed form against 200,000 draws of each member's entry (the moved per-entry oracle)."""
+    net, state, partition = moments_instance()
+    spec = rn.PrivacySpec(epsilon0=1.0, k=1e-3)
+    mean, var = private_moments(net, state, partition, spec)
     rng = stream(100, StreamRole.ANALYSIS)
-    mc_mean, mc_var = monte_carlo_entry_stats(partition, 0, gamma, x, params, 200_000, rng)
-    assert mc_mean == pytest.approx(mean, rel=0.01)
-    assert mc_var == pytest.approx(var, rel=0.02)
+    for q, r in ((0, 0), (1, 0), (1, 1)):
+        params = oracles.entry_noise_params(net, state, partition, spec, q, r)
+        mc_mean, mc_var = oracles.monte_carlo_entry_stats(
+            partition, q, net.gamma, state.x, params, 200_000, rng
+        )
+        assert mc_mean == pytest.approx(mean[q, r], rel=0.01)
+        assert mc_var == pytest.approx(var[q, r], rel=0.02)
 
 
-def test_moments_against_full_pipeline(rng):
-    """The actor pipeline's entry statistics match the analytic moments."""
-    net = make_network(rng, 6)
-    state = make_state(rng, 6, x=(0.05, 0.2))
-    partition = rn.Partition.from_blocks([[0, 1, 2], [3, 4, 5]])
-    spec = rn.PrivacySpec(epsilon0=1.0, k=1e-4, bounds=(0.0, 14.0))
-    trials = 3000
-    outputs = np.stack(
-        [
-            rn.run_pipeline(net, state, partition, spec, master_seed=42, trial=t).values
-            for t in range(trials)
-        ]
-    )
-    for q in range(2):
-        for r in range(2):
-            params = entry_noise_params(net, state, partition, spec, q, r)
-            mean, var = private_entry_moments(
-                partition, q, net.gamma, state.x, params
-            )
-            observed = outputs[:, q, r]
-            se = np.sqrt(var / trials)
-            assert abs(float(np.mean(observed)) - mean) < 5.0 * se + 1e-12
-            assert float(np.var(observed, ddof=1)) == pytest.approx(var, rel=0.2)
+def test_rmse_sweep_certified_by_private_moments():
+    """One fixed-seed ``rmse_sweep``, bit for bit the pipeline's trials, against the closed
+    form: every entry's mean within 5 standard errors and its variance within 12%, each
+    epsilon's squared RMSE within 6% of ``mean(var + (mean - exact)^2)``, and the exact-zero
+    entry exactly 0.  The bounds catch a noise scale 10% too large in ``private_reports``,
+    another cluster's weight as the denominator, and zero entries drawn, not passed through.
+    """
+    net, state, partition = moments_instance()
+    trajectory = rn.integrate(net, state, rn.ModelKind.SIR, 0.1, 50, every=50)
+    trials, eps_grid = 5000, (0.5, 2.0)
+    report = rmse_sweep(net, trajectory, partition, eps_grid, trials, master_seed=11)
+    exact = np.stack([rn.cluster_matrix(net, st, partition).values for st in trajectory])
+    zero = exact == 0.0
+    assert zero.any()
+    for eps in eps_grid:
+        mean, var = private_moments(net, trajectory, partition, rn.PrivacySpec(epsilon0=eps))
+        rows = [row for row in report.entries if row.eps == eps]  # (epoch, q, r) order
+        sweep_mean = np.reshape([row.mean_private for row in rows], mean.shape)
+        sweep_var = np.reshape([row.var_private for row in rows], var.shape)
+        assert np.all(sweep_mean[zero] == 0.0) and np.all(mean[zero] == 0.0)
+        z = (sweep_mean - mean)[~zero] / np.sqrt(var[~zero] / trials)
+        assert np.max(np.abs(z)) < 5.0
+        assert np.max(np.abs(sweep_var[~zero] / var[~zero] - 1.0)) < 0.12
+        expected = float(np.mean(var + (mean - exact) ** 2))
+        assert report.summary_for(eps).rmse ** 2 == pytest.approx(expected, rel=0.06)
+
+
+def _per_entry_moments(net, state, partition, spec, clamp):
+    """``(m, m)`` means and variances at a state from the per-entry oracle pair."""
+    mean, var = np.zeros((2, partition.m, partition.m))
+    for q, r in np.ndindex(mean.shape):
+        params = oracles.entry_noise_params(net, state, partition, spec, q, r, clamp=clamp)
+        mean[q, r], var[q, r] = oracles.private_entry_moments(partition, q, net.gamma, state.x, params)
+    return mean, var
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    blocks=st.sampled_from(["singletons", "whole", "random"]),
+    eps=st.sampled_from([0.05, 0.5, 1.0, 4.0]),
+    k=st.sampled_from([1e-5, 1e-2, 0.5, 50.0]),
+    clamp=st.booleans(),
+    kind=st.sampled_from(list(rn.ModelKind)),
+    rows=st.integers(1, 3),
+)
+@example(seed=0, n=9, blocks="random", eps=1.0, k=1e-5, clamp=True, kind=rn.ModelKind.SIS, rows=3)
+@example(seed=1, n=5, blocks="singletons", eps=0.05, k=50.0, clamp=False, kind=rn.ModelKind.SIR, rows=1)
+@settings(max_examples=40, deadline=None)
+def test_private_moments_match_per_entry_oracle_property(seed, n, blocks, eps, k, clamp, kind, rows):
+    """Along a trajectory of SIS or SIR states with zero report entries (a sparse network,
+    and ``s = 0`` at one node), every entry agrees with the per-entry oracle pair to 1e-14
+    relative, each row is the state's own call bit for bit, an empty trajectory gives
+    empty arrays, and an infeasible calibration fails both."""
+    gen = np.random.default_rng(seed)
+    net = make_network(gen, n, density=0.3)
+    m = int(gen.integers(1, n + 1))
+    assignment = np.concatenate([np.arange(m), gen.integers(0, m, n - m)])
+    gen.shuffle(assignment)
+    partition = {
+        "singletons": rn.Partition.singletons(n),
+        "whole": rn.Partition.whole(n),
+        "random": rn.Partition(m=m, assignment=assignment),
+    }[blocks]
+    states = []
+    for t in range(rows):
+        state = make_state(gen, n, t=float(t), with_r=kind is rn.ModelKind.SIR)
+        s = state.s.copy()
+        s[gen.integers(n)] = 0.0
+        states.append(rn.EpidemicState(t=state.t, s=s, x=state.x, r=state.r + (state.s - s)))
+    spec, box = rn.PrivacySpec(epsilon0=eps, k=k), (0.0, 14.0) if clamp else None
+    trajectory = rn.Trajectory.from_states(states)
+    try:
+        reference = [_per_entry_moments(net, state, partition, spec, box) for state in states]
+    except CalibrationInfeasibleError:
+        with pytest.raises(CalibrationInfeasibleError):
+            private_moments(net, trajectory, partition, spec, clamp=box)
+        return
+    mean, var = private_moments(net, trajectory, partition, spec, clamp=box)
+    assert mean.shape == var.shape == (rows, partition.m, partition.m)
+    empty = private_moments(net, trajectory[:0], partition, spec)
+    assert [a.shape for a in empty] == [(0, partition.m, partition.m)] * 2
+    for row, state, (ref_mean, ref_var) in zip(range(rows), states, reference):
+        np.testing.assert_allclose(mean[row], ref_mean, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(var[row], ref_var, rtol=1e-14, atol=0.0)
+        one = private_moments(net, state, partition, spec, clamp=box)
+        assert _hex(one) == _hex([mean[row], var[row]])
+
+
+def test_private_moments_raises_the_pipelines_errors(rng):
+    """Inputs that the pipeline rejects before it draws noise fail the closed form with the
+    same error: sizes, calibration, the noise box and a zero infection without a floor,
+    along a trajectory the first failing state's."""
+    net = make_network(rng, 4)
+    state = make_state(rng, 4)
+    x = state.x.copy()
+    x[1] = 0.0
+    unfloored = rn.EpidemicState(t=1.0, s=1.0 - x, x=x)
+    partition = rn.Partition.from_blocks([[0, 1], [2, 3]])
+    spec = rn.PrivacySpec(1.0)
+    cases = [
+        (make_state(rng, 3), partition, spec, {}, ConfigError),
+        (state, rn.Partition.whole(3), spec, {}, ConfigError),
+        (state, partition, rn.PrivacySpec(1e-6, k=50.0, bounds=(0.0, 1.0)), {}, CalibrationInfeasibleError),
+        (state, partition, rn.PrivacySpec(1.0, bounds=(0.0, 1e-4)), {}, PrivacyBoundsError),
+        (unfloored, partition, spec, {"floor": 0.0}, UndefinedRatioError),
+        (rn.Trajectory.from_states([state, unfloored]), partition, spec, {"floor": 0.0}, UndefinedRatioError),
+        (rn.Trajectory.from_states([state, unfloored]), partition, rn.PrivacySpec(1.0, bounds=(0.0, 1e-4)),
+         {"floor": 0.0}, PrivacyBoundsError),
+    ]
+    for st_, part, spec_, kwargs, error in cases:
+        if isinstance(st_, rn.Trajectory):
+            kwargs = {**kwargs, "epoch": range(len(st_))}
+        expected = _outcome(rn.run_pipeline, net, st_, part, spec_, **kwargs)
+        assert expected[0] is error
+        kwargs.pop("epoch", None)
+        assert _outcome(private_moments, net, st_, part, spec_, **kwargs) == expected
+
+
+def test_private_moments_at_n_1000_is_fast():
+    gen = np.random.default_rng(1000)
+    n = 1000
+    b = np.where(gen.random((n, n)) < 0.02, gen.uniform(0.05, 0.3, (n, n)), 0.0)
+    b[np.arange(n), (np.arange(n) + 1) % n] = gen.uniform(0.05, 0.3, n)
+    net = rn.TransmissionNetwork(b=b, gamma=gen.uniform(0.1, 0.5, n))
+    state, partition = make_state(gen, n), rn.Partition(10, np.arange(n) * 10 // n)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        private_moments(net, state, partition, rn.PrivacySpec(1.0), clamp=(0.0, 14.0))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
 
 
 def test_rmse_sweep_degenerate_noise(rng):

@@ -100,6 +100,34 @@ def test_degenerate_window_rejected():
         trunc_gauss_moments(params)
 
 
+@pytest.mark.parametrize("width", [1.0001e-3, 3e-3, 1e-2, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("place", [1e-6, 0.5, 1.0])
+def test_narrow_window_moments_match_quadrature(width, place):
+    """Down to the standardized width 1e-3 the closed form is within 1e-6 of quadrature,
+    with the centre near the open edge, in the middle and on the closed edge."""
+    sigma, lower = 0.7, 0.3
+    params = TruncGaussParams(lower + place * width * sigma, sigma, lower, lower + width * sigma)
+    mean, var = trunc_gauss_moments(params)
+    ref_mean, ref_var = oracles.truncated_central_moments_by_quadrature(
+        params.mu, params.sigma, params.lower, params.upper
+    )
+    assert mean == pytest.approx(ref_mean, rel=1e-6)
+    assert var == pytest.approx(ref_var, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TruncGaussParams(5e-10, 1.0, 0.0, 1e-9),  # the cancelling formula gave a variance of -3.1e-8
+        TruncGaussParams(0.3 + 0.5e-5, 1.0, 0.3, 0.3 + 1e-5),  # and 2.2e-11 here, against 8.3e-12
+        TruncGaussParams(0.3 + 0.7 * 0.999e-3, 0.7, 0.3, 0.3 + 0.7 * 0.999e-3),
+    ],
+)
+def test_narrow_window_moments_rejected(params):
+    with pytest.raises(DegenerateTruncationError, match="sigma wide"):
+        trunc_gauss_moments(params)
+
+
 def test_calibration_golden_value_and_minimality():
     lower = np.zeros(3)
     upper = np.full(3, 14.0)

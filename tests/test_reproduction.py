@@ -365,12 +365,15 @@ def test_state_size_must_match_network(rng):
         lambda: rn.local_distributed_ern(net, state, 0, 1),
         lambda: rn.network_reproduction(net, state),
         lambda: analysis.trichotomy_counts(net, [state], rn.ModelKind.SIR),
-        lambda: analysis.entry_noise_params(net, state, partition, rn.PrivacySpec(1.0), 0, 0),
         lambda: rn.step3_preaggregate(net, state, partition, 0),
     ]
     for call in calls:
         with pytest.raises(ConfigError, match="state has 3 entities, network has 4"):
             call()
+    # the closed form of the private pipeline's entries checks the sizes as the pipeline does
+    for call in (rn.run_pipeline, analysis.private_moments):
+        with pytest.raises(ConfigError, match="network, state, and partition sizes must agree"):
+            call(net, state, partition, rn.PrivacySpec(1.0))
 
 
 @pytest.mark.parametrize("index", [-1, 4, 1.0, 0.5, True, "0"])
